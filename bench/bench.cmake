@@ -51,3 +51,11 @@ add_test(NAME perf_hotpaths_smoke
 set_tests_properties(perf_hotpaths_smoke PROPERTIES
   LABELS "perf"
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR})
+
+# The end-to-end benchmark (bench/e2e/README.md) and its e2e_smoke test
+# (labels perf and e2e). Its standalone build, bench/e2e/CMakeLists.txt,
+# adds this project as a subdirectory and includes e2e.cmake itself, so the
+# product build includes it only as the top-level project.
+if(CMAKE_SOURCE_DIR STREQUAL PROJECT_SOURCE_DIR)
+  include(${PROJECT_SOURCE_DIR}/bench/e2e/e2e.cmake)
+endif()

@@ -1,8 +1,10 @@
 #include "hunter/search_space_optimizer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <numeric>
+#include <thread>
 
 #include "common/thread_pool.h"
 
@@ -37,18 +39,33 @@ OptimizedSpace SearchSpaceOptimizer::Optimize(
   OptimizedSpace space;
   const std::vector<size_t> tunable = rules.TunableKnobs(catalog);
 
-  // ---- Metrics compression (PCA).
-  std::vector<std::vector<double>> metric_rows;
+  // ---- Metrics compression (PCA), fit straight from the pool: at the
+  // last refreshes the metric matrix is over a megabyte, and a row-vector
+  // copy of it would double that at the session's memory peak.
+  size_t metric_rows = 0;
+  size_t metric_dim = 0;
   for (const controller::Sample& sample : pool) {
-    if (!sample.boot_failed) metric_rows.push_back(sample.metrics);
+    if (sample.boot_failed) continue;
+    if (metric_rows == 0) metric_dim = sample.metrics.size();
+    ++metric_rows;
   }
-  if (options.use_pca && metric_rows.size() >= 8) {
-    space.pca.Fit(linalg::Matrix(metric_rows), /*standardize=*/true);
+  if (options.use_pca && metric_rows >= 8) {
+    linalg::Matrix metrics(metric_rows, metric_dim);
+    size_t r = 0;
+    for (const controller::Sample& sample : pool) {
+      if (sample.boot_failed) continue;
+      assert(sample.metrics.size() == metric_dim);
+      std::copy_n(sample.metrics.begin(),
+                  std::min(metric_dim, sample.metrics.size()),
+                  metrics.Data() + r * metric_dim);
+      ++r;
+    }
+    space.pca.Fit(metrics, /*standardize=*/true);
     space.state_dim =
         space.pca.ComponentsForVariance(options.variance_threshold);
     space.use_pca = true;
   } else {
-    space.state_dim = metric_rows.empty() ? 0 : metric_rows[0].size();
+    space.state_dim = metric_dim;
     space.use_pca = false;
   }
 
@@ -63,10 +80,11 @@ OptimizedSpace SearchSpaceOptimizer::Optimize(
       y[r] = pool[r].fitness;
     }
     ml::RandomForest forest;
+    const unsigned cores = std::thread::hardware_concurrency();
+    const size_t threads = std::min<size_t>(cores == 0 ? 1 : cores,
+                                            options.forest.num_trees);
     std::unique_ptr<common::ThreadPool> fit_pool;
-    if (options.rf_fit_threads > 1) {
-      fit_pool = std::make_unique<common::ThreadPool>(options.rf_fit_threads);
-    }
+    if (threads > 1) fit_pool = std::make_unique<common::ThreadPool>(threads);
     forest.Fit(x, y, options.forest, rng, fit_pool.get());
     const std::vector<size_t> ranking = forest.RankFeatures();
     const size_t keep = std::min(options.top_knobs, tunable.size());

@@ -26,9 +26,6 @@ struct OptimizerOptions {
   double variance_threshold = 0.90;  // PCA CDF cut (Fig. 7: 91% at 13)
   size_t top_knobs = 20;             // knobs kept after sifting (Fig. 8)
   ml::RandomForestOptions forest;    // 200 CARTs by default
-  // Threads for the forest fit (0 or 1 = serial). The fit forks per-tree
-  // RNGs up front, so the result is bit-identical at any thread count.
-  size_t rf_fit_threads = 0;
 };
 
 // The reduced search space handed to the Recommender.
@@ -53,6 +50,8 @@ class SearchSpaceOptimizer {
   // (knobs -> fitness); boot-failed samples are excluded from PCA (their
   // metrics are meaningless) but kept for the forest (the failure is real
   // signal about those knobs). Only `rules`-tunable knobs are eligible.
+  // The forest's trees fit on one thread per core (at most one per tree);
+  // the result is bit-identical to a single-thread fit.
   static OptimizedSpace Optimize(const std::vector<controller::Sample>& pool,
                                  const cdb::KnobCatalog& catalog,
                                  const Rules& rules,

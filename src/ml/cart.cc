@@ -38,48 +38,45 @@ struct SplitStats {
 
 }  // namespace
 
-// The whole training view, gathered once per fit. `values` and `sorted` are
-// feature-major (d stripes of m entries); the [begin, end) segment of every
-// feature's `sorted` stripe always holds exactly the positions belonging to
-// the current node, in ascending feature-value order. Positions (0..m-1)
-// index into the gathered view, so a bootstrap row that appears twice is
-// simply two positions with identical values.
-struct CartTree::Scratch {
-  size_t m = 0;                    // rows in the view
-  size_t d = 0;                    // features
-  std::vector<double> values;      // d x m, values[f*m + pos]
-  std::vector<double> labels;      // m
-  std::vector<uint32_t> sorted;    // d x m position lists
-  // Positions in insertion order, stable-partitioned at every split — the
-  // same order the original (seed) implementation kept its index array in.
-  // Node statistics accumulate over this list so gains are bit-identical to
-  // the seed's, which matters when two features induce the same partition
-  // and the winner is decided by ~1e-16 summation-order noise.
-  std::vector<uint32_t> order;
-  std::vector<uint8_t> go_left;    // m, split routing flags
-  std::vector<uint32_t> tmp;       // right-side positions during partition
-  std::vector<size_t> features;    // per-node candidate features
-  // Counting-pass buckets used to derive sorted stripes from a shared
-  // FeaturePresort: positions grouped by source row, ascending within a row.
-  std::vector<uint32_t> row_offset;  // n + 1 prefix offsets
-  std::vector<uint32_t> pos_by_row;  // m positions
-};
-
 void FeaturePresort::Build(const linalg::Matrix& x) {
   num_rows = x.rows();
   num_features = x.cols();
   assert(num_rows < UINT32_MAX);
+  columns.resize(num_features * num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t f = 0; f < num_features; ++f) {
+      columns[f * num_rows + r] = x.At(r, f);
+    }
+  }
   sorted_rows.resize(num_features * num_rows);
   for (size_t f = 0; f < num_features; ++f) {
     uint32_t* seg = sorted_rows.data() + f * num_rows;
+    const double* vals = columns.data() + f * num_rows;
     std::iota(seg, seg + num_rows, 0u);
-    std::sort(seg, seg + num_rows, [&x, f](uint32_t a, uint32_t b) {
-      const double va = x.At(a, f);
-      const double vb = x.At(b, f);
-      if (va != vb) return va < vb;
+    std::sort(seg, seg + num_rows, [vals](uint32_t a, uint32_t b) {
+      if (vals[a] != vals[b]) return vals[a] < vals[b];
       return a < b;
     });
   }
+}
+
+void CartTree::Workspace::Reserve(const FeaturePresort& data,
+                                  size_t view_rows,
+                                  const CartOptions& options) {
+  sorted.reserve(data.num_features * view_rows);
+  order.reserve(view_rows);
+  tmp.reserve(view_rows);
+  go_left.reserve(data.num_rows);
+  row_count.reserve(data.num_rows);
+  features.reserve(data.num_features);
+  // Every leaf holds at least one row (a split that would empty a side is
+  // refused), and depth caps the leaves at 2^max_depth.
+  size_t leaves = std::max<size_t>(1, view_rows);
+  if (options.max_depth < 62) {
+    const int depth = std::max(0, options.max_depth);
+    leaves = std::min(leaves, size_t{1} << depth);
+  }
+  nodes.reserve(2 * leaves - 1);
 }
 
 void CartTree::Fit(const linalg::Matrix& x, const std::vector<double>& y,
@@ -92,88 +89,70 @@ void CartTree::Fit(const linalg::Matrix& x, const std::vector<double>& y,
 void CartTree::FitIndices(const linalg::Matrix& x,
                           const std::vector<double>& y,
                           const std::vector<size_t>& row_indices,
-                          const CartOptions& options, common::Rng* rng,
-                          const FeaturePresort* presort) {
-  nodes_.clear();
-  importance_.assign(x.cols(), 0.0);
-  if (row_indices.empty()) return;
-  assert(row_indices.size() < UINT32_MAX);
-
-  // One scratch arena per thread, reused across trees: a forest fit keeps
-  // the gather/sort buffers warm instead of reallocating them per tree.
-  static thread_local Scratch scratch;
-  Scratch& s = scratch;
-  s.m = row_indices.size();
-  s.d = x.cols();
-  s.values.resize(s.d * s.m);
-  s.labels.resize(s.m);
-  s.features.clear();
-  for (size_t i = 0; i < s.m; ++i) {
-    const size_t row = row_indices[i];
-    s.labels[i] = y[row];
-    for (size_t f = 0; f < s.d; ++f) s.values[f * s.m + i] = x.At(row, f);
+                          const CartOptions& options, common::Rng* rng) {
+  FeaturePresort data;
+  data.Build(x);
+  std::vector<uint32_t> rows(row_indices.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    assert(row_indices[i] < x.rows());
+    rows[i] = static_cast<uint32_t>(row_indices[i]);
   }
-  s.sorted.resize(s.d * s.m);
-  if (presort != nullptr && presort->num_rows == x.rows() &&
-      presort->num_features == s.d) {
-    // Derive each feature's sorted position list from the shared row order:
-    // bucket positions by source row (ascending position within a bucket),
-    // then emit buckets in the presorted row order. O(n + m) per feature.
-    const size_t n = presort->num_rows;
-    s.row_offset.assign(n + 1, 0);
-    for (size_t i = 0; i < s.m; ++i) ++s.row_offset[row_indices[i] + 1];
-    for (size_t r = 0; r < n; ++r) s.row_offset[r + 1] += s.row_offset[r];
-    s.pos_by_row.resize(s.m);
-    {
-      std::vector<uint32_t> cursor(s.row_offset.begin(),
-                                   s.row_offset.end() - 1);
-      for (size_t i = 0; i < s.m; ++i) {
-        s.pos_by_row[cursor[row_indices[i]]++] = static_cast<uint32_t>(i);
-      }
-    }
-    for (size_t f = 0; f < s.d; ++f) {
-      uint32_t* seg = s.sorted.data() + f * s.m;
-      const uint32_t* rows = presort->sorted_rows.data() + f * n;
-      size_t out = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t row = rows[i];
-        for (uint32_t q = s.row_offset[row]; q < s.row_offset[row + 1]; ++q) {
-          seg[out++] = s.pos_by_row[q];
-        }
-      }
-    }
-  } else {
-    // One sort per feature for the whole tree; ties break by position, which
-    // keeps duplicated bootstrap rows in a deterministic order.
-    for (size_t f = 0; f < s.d; ++f) {
-      uint32_t* seg = s.sorted.data() + f * s.m;
-      std::iota(seg, seg + s.m, 0u);
-      const double* vals = s.values.data() + f * s.m;
-      std::sort(seg, seg + s.m, [vals](uint32_t a, uint32_t b) {
-        if (vals[a] != vals[b]) return vals[a] < vals[b];
-        return a < b;
-      });
-    }
-  }
-  s.order.resize(s.m);
-  std::iota(s.order.begin(), s.order.end(), 0);
-  s.go_left.resize(s.m);
-  s.tmp.resize(s.m);
-
-  BuildNode(s, 0, s.m, 0, options, rng);
+  Workspace workspace;
+  workspace.Reserve(data, rows.size(), options);
+  FitPresorted(data, y, rows, options, rng, &workspace);
 }
 
-int CartTree::BuildNode(Scratch& s, size_t begin, size_t end, int depth,
+void CartTree::FitPresorted(const FeaturePresort& data,
+                            const std::vector<double>& y,
+                            const std::vector<uint32_t>& rows,
+                            const CartOptions& options, common::Rng* rng,
+                            Workspace* workspace) {
+  nodes_.clear();
+  importance_.assign(data.num_features, 0.0);
+  if (rows.empty()) return;
+  assert(rows.size() < UINT32_MAX && y.size() == data.num_rows);
+  Workspace& s = *workspace;
+  const size_t n = data.num_rows;
+  const size_t m = rows.size();
+
+  // Derive each feature's sorted stripe from the shared row order: count
+  // every row's copies in the view, then emit the presorted rows, each as
+  // many times as it was drawn. O(n + m) per feature.
+  s.row_count.assign(n, 0);
+  for (const uint32_t row : rows) ++s.row_count[row];
+  s.sorted.resize(data.num_features * m);
+  for (size_t f = 0; f < data.num_features; ++f) {
+    uint32_t* seg = s.sorted.data() + f * m;
+    const uint32_t* sorted_rows = data.sorted_rows.data() + f * n;
+    size_t out = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = sorted_rows[i];
+      for (uint32_t copy = s.row_count[row]; copy > 0; --copy) {
+        seg[out++] = row;
+      }
+    }
+  }
+  s.order.assign(rows.begin(), rows.end());
+  s.tmp.resize(m);
+  s.go_left.resize(n);
+  s.nodes.clear();
+
+  BuildNode(data, y.data(), s, 0, m, 0, options, rng);
+  nodes_.assign(s.nodes.begin(), s.nodes.end());
+}
+
+int CartTree::BuildNode(const FeaturePresort& data, const double* labels,
+                        Workspace& s, size_t begin, size_t end, int depth,
                         const CartOptions& options, common::Rng* rng) {
   const size_t count = end - begin;
   SplitStats node_stats;
   for (size_t i = begin; i < end; ++i) {
-    node_stats.Add(s.labels[s.order[i]]);
+    node_stats.Add(labels[s.order[i]]);
   }
 
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node_id].value = node_stats.Mean();
+  const int node_id = static_cast<int>(s.nodes.size());
+  s.nodes.emplace_back();
+  s.nodes[node_id].value = node_stats.Mean();
 
   const double node_sse = node_stats.SumSquaredError();
   if (depth >= options.max_depth || count < 2 * options.min_samples_leaf ||
@@ -184,11 +163,13 @@ int CartTree::BuildNode(Scratch& s, size_t begin, size_t end, int depth,
   // Choose candidate features (without replacement). The list is rebuilt to
   // full width every node so Shuffle consumes the same RNG draws as the
   // original per-node implementation.
-  s.features.resize(s.d);
+  const size_t d = data.num_features;
+  const size_t m = s.order.size();
+  s.features.resize(d);
   std::iota(s.features.begin(), s.features.end(), 0);
   const size_t feature_budget =
-      options.max_features == 0 ? s.d : std::min(options.max_features, s.d);
-  if (feature_budget < s.d) rng->Shuffle(&s.features);
+      options.max_features == 0 ? d : std::min(options.max_features, d);
+  if (feature_budget < d) rng->Shuffle(&s.features);
   s.features.resize(feature_budget);
 
   double best_gain = 1e-12;
@@ -196,39 +177,45 @@ int CartTree::BuildNode(Scratch& s, size_t begin, size_t end, int depth,
   double best_threshold = 0.0;
 
   for (const size_t feature : s.features) {
-    const double* vals = s.values.data() + feature * s.m;
-    const uint32_t* seg = s.sorted.data() + feature * s.m;
+    const double* vals = data.columns.data() + feature * data.num_rows;
+    const uint32_t* seg = s.sorted.data() + feature * m;
     SplitStats left;
     SplitStats right = node_stats;
+    uint32_t row = seg[begin];
+    double value = vals[row];
     for (size_t i = begin; i + 1 < end; ++i) {
-      const uint32_t pos = seg[i];
-      left.Add(s.labels[pos]);
-      right.Remove(s.labels[pos]);
-      if (vals[pos] == vals[seg[i + 1]]) continue;  // no valid cut
-      if (left.count < options.min_samples_leaf ||
-          right.count < options.min_samples_leaf) {
-        continue;
+      const uint32_t next_row = seg[i + 1];
+      const double next_value = vals[next_row];
+      left.Add(labels[row]);
+      right.Remove(labels[row]);
+      // Equal values admit no cut; neither does a short side.
+      if (value != next_value && left.count >= options.min_samples_leaf &&
+          right.count >= options.min_samples_leaf) {
+        const double gain =
+            node_sse - left.SumSquaredError() - right.SumSquaredError();
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = feature;
+          best_threshold = 0.5 * (value + next_value);
+        }
       }
-      const double gain =
-          node_sse - left.SumSquaredError() - right.SumSquaredError();
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_feature = feature;
-        best_threshold = 0.5 * (vals[pos] + vals[seg[i + 1]]);
-      }
+      row = next_row;
+      value = next_value;
     }
   }
 
   if (best_gain <= 1e-12) return node_id;
 
-  // Route each position and bail on a degenerate partition (possible when
-  // the midpoint threshold rounds onto one of the two cut values).
-  const double* best_vals = s.values.data() + best_feature * s.m;
+  // Route each row and bail on a degenerate partition (possible when the
+  // midpoint threshold rounds onto one of the two cut values). Copies of a
+  // bootstrap row share one flag, as they share every value.
+  const double* best_vals =
+      data.columns.data() + best_feature * data.num_rows;
   size_t left_count = 0;
   for (size_t i = begin; i < end; ++i) {
-    const uint32_t pos = s.order[i];
-    const bool go_left = best_vals[pos] <= best_threshold;
-    s.go_left[pos] = go_left ? 1 : 0;
+    const uint32_t row = s.order[i];
+    const bool go_left = best_vals[row] <= best_threshold;
+    s.go_left[row] = go_left ? 1 : 0;
     left_count += go_left ? 1 : 0;
   }
   if (left_count == 0 || left_count == count) return node_id;
@@ -236,22 +223,22 @@ int CartTree::BuildNode(Scratch& s, size_t begin, size_t end, int depth,
   importance_[best_feature] += best_gain;
 
   // Stable in-place partition of the insertion-order list and of every
-  // feature's segment: left positions compact forward in order, right
-  // positions park in tmp and are copied back behind them. Each child
-  // segment therefore stays sorted (and `order` stays in seed order).
-  // Every element is written to both destinations and only the matching
-  // cursor advances: the side an element lands on is close to a coin flip,
-  // and a data-dependent branch here mispredicts on roughly half of the
+  // feature's segment: left rows compact forward in order, right rows park
+  // in tmp and are copied back behind them. Each child segment therefore
+  // stays sorted (and `order` stays in seed order). Every element is
+  // written to both destinations and only the matching cursor advances:
+  // the side an element lands on is close to a coin flip, and a
+  // data-dependent branch here mispredicts on roughly half of the
   // (count x num_features) elements partitioned per split. A left write
   // targets seg[write] with write <= i, so no unread element is clobbered.
   const auto partition_segment = [&](uint32_t* seg) {
     size_t write = begin;
     size_t parked = 0;
     for (size_t i = begin; i < end; ++i) {
-      const uint32_t pos = seg[i];
-      const uint8_t flag = s.go_left[pos];
-      seg[write] = pos;
-      s.tmp[parked] = pos;
+      const uint32_t row = seg[i];
+      const uint8_t flag = s.go_left[row];
+      seg[write] = row;
+      s.tmp[parked] = row;
       write += flag;
       parked += static_cast<size_t>(1 - flag);
     }
@@ -259,18 +246,20 @@ int CartTree::BuildNode(Scratch& s, size_t begin, size_t end, int depth,
               seg + write);
   };
   partition_segment(s.order.data());
-  for (size_t f = 0; f < s.d; ++f) {
-    partition_segment(s.sorted.data() + f * s.m);
+  for (size_t f = 0; f < d; ++f) {
+    partition_segment(s.sorted.data() + f * m);
   }
   const size_t split = begin + left_count;
 
-  nodes_[node_id].is_leaf = false;
-  nodes_[node_id].feature = best_feature;
-  nodes_[node_id].threshold = best_threshold;
-  const int left_id = BuildNode(s, begin, split, depth + 1, options, rng);
-  nodes_[node_id].left = left_id;
-  const int right_id = BuildNode(s, split, end, depth + 1, options, rng);
-  nodes_[node_id].right = right_id;
+  s.nodes[node_id].is_leaf = false;
+  s.nodes[node_id].feature = best_feature;
+  s.nodes[node_id].threshold = best_threshold;
+  const int left_id =
+      BuildNode(data, labels, s, begin, split, depth + 1, options, rng);
+  s.nodes[node_id].left = left_id;
+  const int right_id =
+      BuildNode(data, labels, s, split, end, depth + 1, options, rng);
+  s.nodes[node_id].right = right_id;
   return node_id;
 }
 

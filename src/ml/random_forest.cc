@@ -1,7 +1,9 @@
 #include "ml/random_forest.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <numeric>
 
@@ -28,30 +30,58 @@ void RandomForest::Fit(const linalg::Matrix& x, const std::vector<double>& y,
   tree_rngs.reserve(trees_.size());
   for (size_t t = 0; t < trees_.size(); ++t) tree_rngs.push_back(rng->Fork());
 
-  // Sort every feature once for the whole forest; each tree then derives
-  // its bootstrap view's sorted lists from this shared read-only index.
+  // Copy and sort every feature once for the whole forest; each tree reads
+  // values through this shared read-only copy and derives its bootstrap
+  // view's sorted stripes from it.
   FeaturePresort presort;
   presort.Build(x);
 
-  const auto fit_tree = [&](size_t t) {
+  // One worker per pool thread, at most one per tree. Every worker's
+  // buffers are sized here, on the calling thread, and reused across its
+  // trees, so a worker allocates only its trees' output arrays. Memory a
+  // pool thread allocates stays in that thread's malloc arena, where the
+  // calling thread's later allocations cannot reuse it.
+  struct Worker {
+    std::vector<uint32_t> bootstrap;
+    CartTree::Workspace workspace;
+  };
+  const size_t num_workers =
+      pool == nullptr ? 1 : std::min(pool->num_threads(), trees_.size());
+  std::vector<Worker> workers(std::max<size_t>(1, num_workers));
+  for (Worker& worker : workers) {
+    worker.bootstrap.resize(n);
+    worker.workspace.Reserve(presort, n, tree_options);
+  }
+
+  const auto fit_tree = [&](size_t t, Worker& worker) {
     common::Rng tree_rng = tree_rngs[t];
-    std::vector<size_t> bootstrap(n);
-    for (size_t i = 0; i < n; ++i) {
-      bootstrap[i] = static_cast<size_t>(
+    for (uint32_t& row : worker.bootstrap) {
+      row = static_cast<uint32_t>(
           tree_rng.UniformInt(0, static_cast<int64_t>(n) - 1));
     }
-    trees_[t].FitIndices(x, y, bootstrap, tree_options, &tree_rng, &presort);
+    trees_[t].FitPresorted(presort, y, worker.bootstrap, tree_options,
+                           &tree_rng, &worker.workspace);
   };
 
-  if (pool != nullptr && pool->num_threads() > 1 && trees_.size() > 1) {
+  if (workers.size() > 1) {
+    // Workers claim trees from a shared counter, so which worker fits a
+    // tree depends on scheduling; the tree itself does not.
+    std::atomic<size_t> next_tree{0};
     std::vector<std::future<void>> futures;
-    futures.reserve(trees_.size());
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      futures.push_back(pool->Submit([&fit_tree, t] { fit_tree(t); }));
+    futures.reserve(workers.size());
+    for (Worker& worker : workers) {
+      futures.push_back(pool->Submit([&fit_tree, &next_tree, &worker, this] {
+        for (size_t t = next_tree++; t < trees_.size(); t = next_tree++) {
+          fit_tree(t, worker);
+        }
+      }));
     }
+    // Every worker finishes before any failure propagates: the tasks
+    // reference this frame.
+    for (auto& future : futures) future.wait();
     for (auto& future : futures) future.get();
   } else {
-    for (size_t t = 0; t < trees_.size(); ++t) fit_tree(t);
+    for (size_t t = 0; t < trees_.size(); ++t) fit_tree(t, workers[0]);
   }
 
   // Reduce importances in fixed tree order (independent of scheduling).

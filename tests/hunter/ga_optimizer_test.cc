@@ -1,3 +1,7 @@
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "cdb/knob_catalog.h"
@@ -230,6 +234,49 @@ TEST_F(OptimizerTest, SmallPoolFallsBackGracefully) {
   // Not enough data for PCA or RF: raw metrics + all knobs.
   EXPECT_FALSE(space.use_pca);
   EXPECT_EQ(space.selected_knobs.size(), catalog_.size());
+}
+
+uint64_t Fnv1a(uint64_t hash, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xFFu;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Optimize's state size, knob selection and importance bits, on a fixed
+// pool shaped like a real refresh: every knob quantized to 30 levels (real
+// pools repeat each knob value across many samples, so the forest's tie
+// order is exercised), every 13th sample boot-failed at a shared fitness
+// floor, and the default options (200 trees). The digest was recorded from
+// the former single-thread fit; the forest's thread count must not move it.
+TEST_F(OptimizerTest, OptimizeOnTiedPoolMatchesGoldenDigest) {
+  common::Rng data_rng(2024);
+  std::vector<controller::Sample> pool;
+  for (size_t i = 0; i < 400; ++i) {
+    std::vector<double> knobs(catalog_.size());
+    for (double& v : knobs) v = std::floor(data_rng.Uniform() * 30.0) / 29.0;
+    controller::Sample sample = MakeSample(knobs, Objective(knobs), &data_rng);
+    if (i % 13 == 0) {
+      sample.boot_failed = true;
+      sample.fitness = -2.0;
+    }
+    pool.push_back(sample);
+  }
+  common::Rng rng(7);
+  const OptimizedSpace space = SearchSpaceOptimizer::Optimize(
+      pool, catalog_, rules_, OptimizerOptions{}, &rng);
+
+  uint64_t digest = 1469598103934665603ull;
+  digest = Fnv1a(digest, space.state_dim);
+  for (const size_t knob : space.selected_knobs) digest = Fnv1a(digest, knob);
+  for (const double importance : space.knob_importance) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &importance, sizeof(bits));
+    digest = Fnv1a(digest, bits);
+  }
+  EXPECT_EQ(space.selected_knobs.size(), 20u);
+  EXPECT_EQ(digest, 0x663c75ee0b96b457ull) << std::hex << digest;
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // `concurrency` ctest label so sanitizer configurations exercise it.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,6 +35,69 @@ void MakeData(size_t n, size_t d, linalg::Matrix* x, std::vector<double>* y) {
   }
 }
 
+// Shaped like a real search-space refresh: every column quantized to
+// `levels` values (the real pools repeat 26-33 distinct values per knob
+// across thousands of rows), so every split scan walks runs of equal
+// values and the presort's (value, row) tie order decides the summation
+// order inside them.
+void MakeTiedData(size_t n, size_t d, int levels, linalg::Matrix* x,
+                  std::vector<double>* y) {
+  common::Rng rng(0x7135);
+  *x = linalg::Matrix(n, d);
+  y->resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < d; ++c) {
+      x->At(r, c) = static_cast<double>(rng.UniformInt(0, levels - 1)) /
+                    static_cast<double>(levels - 1);
+    }
+    (*y)[r] = 2.0 * x->At(r, 0) - x->At(r, 1) +
+              0.5 * x->At(r, 2) * x->At(r, 3) + rng.Gaussian(0.0, 0.1);
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Fits `options` serially and on pools of width 1, 2, 3, 4, 8 and one wider
+// than the tree count, all from the same RNG state, and requires every
+// importance, the ranking and every prediction to match bit for bit.
+void ExpectEveryPoolWidthMatchesSerial(const linalg::Matrix& x,
+                                       const std::vector<double>& y,
+                                       const RandomForestOptions& options,
+                                       uint64_t seed) {
+  RandomForest serial;
+  {
+    common::Rng rng(seed);
+    serial.Fit(x, y, options, &rng);
+  }
+  for (const size_t threads :
+       {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{8},
+        options.num_trees + 3}) {
+    common::ThreadPool pool(threads);
+    RandomForest parallel;
+    common::Rng rng(seed);
+    parallel.Fit(x, y, options, &rng, &pool);
+
+    ASSERT_EQ(parallel.feature_importance().size(),
+              serial.feature_importance().size());
+    for (size_t c = 0; c < serial.feature_importance().size(); ++c) {
+      EXPECT_EQ(Bits(parallel.feature_importance()[c]),
+                Bits(serial.feature_importance()[c]))
+          << "threads=" << threads << " feature=" << c;
+    }
+    EXPECT_EQ(parallel.RankFeatures(), serial.RankFeatures())
+        << "threads=" << threads;
+    for (size_t r = 0; r < x.rows(); r += 7) {
+      const std::vector<double> row = x.Row(r);
+      EXPECT_EQ(Bits(parallel.Predict(row)), Bits(serial.Predict(row)))
+          << "threads=" << threads << " row=" << r;
+    }
+  }
+}
+
 RandomForestOptions SmallForest() {
   RandomForestOptions options;
   options.num_trees = 24;
@@ -44,33 +109,16 @@ TEST(ForestParallelTest, ParallelFitBitIdenticalToSerial) {
   linalg::Matrix x;
   std::vector<double> y;
   MakeData(80, 10, &x, &y);
+  ExpectEveryPoolWidthMatchesSerial(x, y, SmallForest(), 99);
+}
 
-  RandomForest serial;
-  {
-    common::Rng rng(99);
-    serial.Fit(x, y, SmallForest(), &rng);
-  }
-
-  for (const size_t threads : {2u, 3u, 4u, 8u}) {
-    common::ThreadPool pool(threads);
-    RandomForest parallel;
-    common::Rng rng(99);
-    parallel.Fit(x, y, SmallForest(), &rng, &pool);
-
-    ASSERT_EQ(parallel.feature_importance().size(),
-              serial.feature_importance().size());
-    for (size_t c = 0; c < serial.feature_importance().size(); ++c) {
-      EXPECT_EQ(parallel.feature_importance()[c],
-                serial.feature_importance()[c])
-          << "threads=" << threads << " feature=" << c;
-    }
-    EXPECT_EQ(parallel.RankFeatures(), serial.RankFeatures());
-    for (size_t r = 0; r < x.rows(); r += 7) {
-      const std::vector<double> row = x.Row(r);
-      EXPECT_DOUBLE_EQ(parallel.Predict(row), serial.Predict(row))
-          << "threads=" << threads << " row=" << r;
-    }
-  }
+TEST(ForestParallelTest, TiedColumnsParallelFitBitIdenticalToSerial) {
+  linalg::Matrix x;
+  std::vector<double> y;
+  MakeTiedData(240, 65, 30, &x, &y);
+  RandomForestOptions options = SmallForest();
+  options.tree.max_depth = 8;
+  ExpectEveryPoolWidthMatchesSerial(x, y, options, 4242);
 }
 
 TEST(ForestParallelTest, SingleThreadPoolTakesSerialPath) {
