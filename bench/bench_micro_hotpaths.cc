@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "cdb/buffer_pool.h"
-#include "cdb/cdb_instance.h"
 #include "cdb/instance_type.h"
 #include "cdb/knob_catalog.h"
 #include "cdb/simulated_engine.h"
@@ -1039,73 +1038,6 @@ void BenchGpEiBatch(bool smoke) {
               baseline_ms, optimized_ms);
 }
 
-void BenchEngineEvalCached(bool smoke) {
-  // The fault-retry path: a straggler's cancelled run is rolled back and
-  // re-dispatched, so the clone re-evaluates the identical (config,
-  // workload, warmth, RNG position) key. With the memo cache the replay is
-  // a lookup; without it the engine runs again. Results must match exactly
-  // either way — the cache saves real CPU, never changes an answer.
-  const int iters = smoke ? 1 : 5;
-  const int cycles = smoke ? 2 : 4;  // snapshot/run/rollback/re-run pairs
-  const hunter::cdb::KnobCatalog catalog = hunter::cdb::MySqlCatalog();
-  const hunter::cdb::WorkloadProfile workload;  // engine defaults
-
-  auto make_instance = [&](bool cached, uint64_t seed) {
-    auto inst = std::make_unique<hunter::cdb::CdbInstance>(
-        &catalog, hunter::cdb::MySqlEvaluationInstance(),
-        hunter::cdb::MySqlEngineTuning(), seed);
-    inst->set_eval_cache_enabled(cached);
-    return inst;
-  };
-
-  // Equivalence: a rolled-back replay served from the cache must equal the
-  // original run bit for bit, and a cache-off instance from the same seed
-  // must produce the same results (the cache never changes an answer).
-  auto run_cycles = [&](hunter::cdb::CdbInstance* inst,
-                        std::vector<double>* out) {
-    out->clear();
-    for (int cyc = 0; cyc < cycles; ++cyc) {
-      const auto snapshot = inst->CaptureState();
-      const hunter::cdb::PerfResult first = inst->StressTest(workload);
-      inst->RestoreState(snapshot);
-      const hunter::cdb::PerfResult replay = inst->StressTest(workload);
-      for (const hunter::cdb::PerfResult* r : {&first, &replay}) {
-        out->push_back(r->throughput_tps);
-        out->push_back(r->latency_p95_ms);
-        out->push_back(r->latency_p99_ms);
-        out->insert(out->end(), r->metrics.begin(), r->metrics.end());
-      }
-    }
-  };
-  std::vector<double> cached_results;
-  std::vector<double> uncached_results;
-  {
-    auto inst = make_instance(/*cached=*/true, 0xBEEF12);
-    run_cycles(inst.get(), &cached_results);
-    RecordEquiv("engine_cache_hits_seen",
-                std::abs(static_cast<double>(inst->eval_cache_stats().hits) -
-                         static_cast<double>(cycles)),
-                0.0);
-  }
-  {
-    auto inst = make_instance(/*cached=*/false, 0xBEEF12);
-    run_cycles(inst.get(), &uncached_results);
-  }
-  RecordEquiv("engine_cached_vs_real",
-              MaxAbsDiff(cached_results, uncached_results), 0.0);
-
-  auto cached_inst = make_instance(/*cached=*/true, 0xBEEF13);
-  auto uncached_inst = make_instance(/*cached=*/false, 0xBEEF13);
-  std::vector<double> scratch;
-  const double baseline_ms = TimeMs(
-      [&] { run_cycles(uncached_inst.get(), &scratch); }, iters);
-  const double optimized_ms = TimeMs(
-      [&] { run_cycles(cached_inst.get(), &scratch); }, iters);
-  RecordBench("engine_eval_cached",
-              std::to_string(cycles) + " run+rolled-back-replay cycles",
-              baseline_ms, optimized_ms);
-}
-
 void BenchZipfDraw(bool smoke) {
   // The engine alternates between two Zipf distributions every Run (page
   // draws, then lock-row draws). The seed kept ONE constants cache per Rng,
@@ -1647,7 +1579,6 @@ int main(int argc, char** argv) {
   BenchZipfDraw(smoke);
   BenchBufferPoolReplay(smoke);
   BenchEngineEvalCold(smoke);
-  BenchEngineEvalCached(smoke);
   BenchPca(smoke);
   BenchGemmSimd(smoke);
   BenchGpKernelSimd(smoke);

@@ -38,61 +38,11 @@ DeployOutcome CdbInstance::DeployConfiguration(const Configuration& config) {
 }
 
 PerfResult CdbInstance::StressTest(const WorkloadProfile& workload) {
-  // Lookup and accounting run unconditionally so the hit/miss counters —
-  // and thus the journal bytes they end up in — are identical whether the
-  // cache is enabled or not; the flag only gates the short-circuit.
-  const std::array<uint64_t, 6> fingerprint = rng_.StateFingerprint();
-  EvalCacheEntry* hit = nullptr;
-  for (EvalCacheEntry& entry : eval_cache_) {
-    if (entry.warm == warm_ && entry.rng_fingerprint == fingerprint &&
-        entry.config == config_ && entry.workload == workload) {
-      hit = &entry;
-      break;
-    }
-  }
-  if (hit != nullptr) {
-    ++eval_cache_stats_.hits;
-    if (eval_cache_enabled_) {
-      // Identical config, workload, warmth and RNG position: the engine is
-      // a deterministic function of exactly these, so the memoized result
-      // and post-run RNG state are what a real run would produce.
-      rng_ = hit->rng_after;
-      if (hit->pool_reset) {
-        // The replay this hit short-circuits would have re-armed the pool,
-        // and — because the memoized first run already sized the slabs and
-        // slabs never shrink — that Reset would have been a slab reuse.
-        ++pool_stats_.resets;
-        ++pool_stats_.slab_reuses;
-      }
-      PerfResult result = hit->result;
-      if (!result.boot_failed) warm_ = true;  // pool is hot after a run
-      return result;
-    }
-  } else {
-    ++eval_cache_stats_.misses;
-  }
-
   const uint64_t resets_before = engine_.pool_resets();
   const uint64_t reuses_before = engine_.pool_slab_reuses();
   PerfResult result = engine_.Run(config_, workload, warm_, &rng_);
   pool_stats_.resets += engine_.pool_resets() - resets_before;
   pool_stats_.slab_reuses += engine_.pool_slab_reuses() - reuses_before;
-  if (hit == nullptr) {
-    EvalCacheEntry entry;
-    entry.config = config_;
-    entry.workload = workload;
-    entry.warm = warm_;  // pre-run warmth: part of the key
-    entry.rng_fingerprint = fingerprint;
-    entry.result = result;
-    entry.rng_after = rng_;
-    entry.pool_reset = engine_.pool_resets() > resets_before;
-    if (eval_cache_.size() < kEvalCacheCapacity) {
-      eval_cache_.push_back(std::move(entry));
-    } else {
-      eval_cache_[eval_cache_next_] = std::move(entry);
-      eval_cache_next_ = (eval_cache_next_ + 1) % kEvalCacheCapacity;
-    }
-  }
   if (!result.boot_failed) warm_ = true;  // pool is hot after a run
   return result;
 }
@@ -102,13 +52,10 @@ std::unique_ptr<CdbInstance> CdbInstance::Clone() {
       catalog_, engine_.instance(),
       EngineTuning{},  // placeholder, replaced below
       rng_.NextU64());
-  // Copy the exact engine behaviour and configuration. The memo cache
-  // itself is not inherited (the clone's RNG stream is fresh), but the
-  // enablement policy is.
+  // Copy the exact engine behaviour and configuration.
   clone->engine_ = engine_;
   clone->config_ = config_;
   clone->warm_ = false;  // a fresh clone starts cold
-  clone->eval_cache_enabled_ = eval_cache_enabled_;
   return clone;
 }
 
@@ -118,9 +65,6 @@ void CdbInstance::ResizeInstance(const InstanceType& new_type) {
   engine_.set_instance(new_type);
   warm_ = false;
   ++restarts_;
-  // The engine's response surface changed; memoized results are stale.
-  eval_cache_.clear();
-  eval_cache_next_ = 0;
 }
 
 }  // namespace hunter::cdb

@@ -103,8 +103,8 @@ class Rng {
   // with equal fingerprints produce identical draw sequences. The Zipf
   // constants are deliberately excluded — they are a pure function of the
   // last (n, theta) arguments, not of the stream position, so they cannot
-  // change what is drawn next. Used as the seed-stream component of the
-  // simulated engine's steady-state memo key.
+  // change what is drawn next. Tests and the hot-path bench's
+  // `engine_cold_rng_stream` gate use it to compare stream positions.
   std::array<uint64_t, 6> StateFingerprint() const {
     return {state_[0], state_[1], state_[2], state_[3],
             has_cached_gaussian_ ? 1ull : 0ull,

@@ -75,8 +75,8 @@ class Actor {
   // Rolls the clone back to its state just before the last StressTest.
   // The Controller calls this when it cancels a straggling attempt: a
   // cancelled run's random draws should not consume the clone's stream, so
-  // the retry replays the identical evaluation — which also makes it
-  // servable by the instance's steady-state memo cache.
+  // a retry on this clone replays the identical evaluation and measures
+  // what the attempt would have measured had it not straggled.
   void RollbackLastRun();
 
   cdb::CdbInstance& instance() { return *clone_; }

@@ -41,8 +41,6 @@ Controller::Controller(std::unique_ptr<cdb::CdbInstance> user_instance,
   const int clones = std::max(1, options.num_clones);
   const common::FaultInjector* injector =
       injector_.enabled() ? &injector_ : nullptr;
-  // Clones inherit the memo-cache policy from the user instance.
-  user_instance_->set_eval_cache_enabled(options.engine_memo_cache);
   actors_.reserve(static_cast<size_t>(clones));
   for (int i = 0; i < clones; ++i) {
     actors_.push_back(std::make_unique<Actor>(
@@ -77,15 +75,10 @@ Controller::Controller(std::unique_ptr<cdb::CdbInstance> user_instance,
       metrics_registry_.RegisterHistogram("controller.round_seconds");
   clone_utilization_hist_ =
       metrics_registry_.RegisterHistogram("controller.clone_utilization");
-  eval_cache_hits_counter_ =
-      metrics_registry_.RegisterCounter("engine.eval_cache_hits");
-  eval_cache_misses_counter_ =
-      metrics_registry_.RegisterCounter("engine.eval_cache_misses");
   pool_resets_counter_ =
       metrics_registry_.RegisterCounter("engine.pool_resets");
   pool_slab_reuses_counter_ =
       metrics_registry_.RegisterCounter("engine.pool_slab_reuses");
-  lane_cache_seen_.resize(actors_.size());
   lane_pool_seen_.resize(actors_.size());
 }
 
@@ -120,39 +113,25 @@ void Controller::ReplaceActor(size_t lane) {
       injector_.enabled() ? &injector_ : nullptr;
   actors_[lane] = std::make_unique<Actor>(
       user_instance_->Clone(), options_.alpha, next_clone_id_++, injector);
-  lane_cache_seen_[lane] = {};  // fresh clone, fresh cache stats
-  lane_pool_seen_[lane] = {};
+  lane_pool_seen_[lane] = {};  // fresh clone, fresh pool stats
   ++fault_stats_.reclones;
   reclones_counter_->Increment();
 }
 
-void Controller::HarvestEvalCacheStats() {
+void Controller::HarvestPoolStats() {
   for (size_t l = 0; l < actors_.size(); ++l) {
-    const cdb::CdbInstance::EvalCacheStats& now =
-        actors_[l]->instance().eval_cache_stats();
-    cdb::CdbInstance::EvalCacheStats& seen = lane_cache_seen_[l];
-    if (now.hits > seen.hits) {
-      eval_cache_hits_counter_->Increment(
-          static_cast<double>(now.hits - seen.hits));
+    const cdb::CdbInstance::PoolStats& now =
+        actors_[l]->instance().pool_stats();
+    cdb::CdbInstance::PoolStats& seen = lane_pool_seen_[l];
+    if (now.resets > seen.resets) {
+      pool_resets_counter_->Increment(
+          static_cast<double>(now.resets - seen.resets));
     }
-    if (now.misses > seen.misses) {
-      eval_cache_misses_counter_->Increment(
-          static_cast<double>(now.misses - seen.misses));
+    if (now.slab_reuses > seen.slab_reuses) {
+      pool_slab_reuses_counter_->Increment(
+          static_cast<double>(now.slab_reuses - seen.slab_reuses));
     }
     seen = now;
-
-    const cdb::CdbInstance::PoolStats& pool_now =
-        actors_[l]->instance().pool_stats();
-    cdb::CdbInstance::PoolStats& pool_seen = lane_pool_seen_[l];
-    if (pool_now.resets > pool_seen.resets) {
-      pool_resets_counter_->Increment(
-          static_cast<double>(pool_now.resets - pool_seen.resets));
-    }
-    if (pool_now.slab_reuses > pool_seen.slab_reuses) {
-      pool_slab_reuses_counter_->Increment(
-          static_cast<double>(pool_now.slab_reuses - pool_seen.slab_reuses));
-    }
-    pool_seen = pool_now;
   }
 }
 
@@ -187,9 +166,11 @@ std::vector<Sample> Controller::EvaluateBatch(
                                 queue.begin() + static_cast<long>(lanes));
     queue.erase(queue.begin(), queue.begin() + static_cast<long>(lanes));
 
-    // Honor lane affinity: a rolled-back straggler retry must land on the
-    // clone that was rolled back for the replay (and thus the memo hit) to
-    // materialize. First claimant wins a contested lane.
+    // Lane affinity, best-effort: a straggler retry moves to the lane whose
+    // clone was rolled back for it, and there replays the cancelled run. It
+    // stays where it is when its lane is beyond this round's width, or when
+    // the item holding that lane has a preference of its own; first
+    // claimant wins a contested lane.
     for (size_t i = 0; i < lanes; ++i) {
       const int p = items[i].preferred_lane;
       if (p >= 0 && static_cast<size_t>(p) < lanes &&
@@ -225,9 +206,9 @@ std::vector<Sample> Controller::EvaluateBatch(
                                 defaults);
       }
     }
-    // Sweep cache stats before any permanent death swaps an actor out (its
+    // Sweep pool stats before any permanent death swaps an actor out (its
     // final attempt must still be counted).
-    HarvestEvalCacheStats();
+    HarvestPoolStats();
 
     // The round costs as much as its slowest lane (all clones run in
     // parallel); each lane additionally pays its item's backoff and any
@@ -271,10 +252,9 @@ std::vector<Sample> Controller::EvaluateBatch(
           if (timed_out) {
             // Cancel at the timeout and requeue at the front of the queue
             // with affinity for this lane; the abandoned run cost deploy +
-            // timeout.
-            // Roll the clone back to its pre-run state: a cancelled run
-            // consumes no random draws, so the retry is an exact replay —
-            // which the engine's memo cache then serves without real CPU.
+            // timeout. Roll the clone back to its pre-run state: a cancelled
+            // run consumes no random draws, so a retry on this clone replays
+            // it exactly.
             actors_[l]->RollbackLastRun();
             add("deploy", "_deploy", out.timing.deploy_seconds);
             add("execution", "_stress_cancelled",

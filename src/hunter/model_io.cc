@@ -1,5 +1,6 @@
 #include "hunter/model_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -21,16 +22,17 @@ void WriteVector(std::ostream& os, const char* tag,
   os << "\n";
 }
 
+// The count comes from the file, so it sizes nothing: values are appended
+// as they are read, and a count larger than the stream fails at its end.
 bool ReadVector(std::istream& is, const std::string& expected_tag,
                 std::vector<double>* values) {
   std::string tag;
   size_t count = 0;
   if (!(is >> tag >> count) || tag != expected_tag) return false;
-  values->resize(count);
-  for (double& v : *values) {
-    if (!(is >> v)) return false;
-  }
-  return true;
+  values->clear();
+  double v = 0.0;
+  while (values->size() < count && is >> v) values->push_back(v);
+  return values->size() == count;
 }
 
 }  // namespace
@@ -82,6 +84,14 @@ bool LoadModel(std::istream& is, HunterModel* model) {
   if (!ReadVector(is, "pca_state", &pca_state)) return false;
   if (!ReadVector(is, "ddpg_parameters", &params)) return false;
   if (!ReadVector(is, "base_config", &base)) return false;
+  for (double knob : knobs) {
+    // Knob indices are catalog positions, and knob_importance spans the
+    // catalog. Negated so NaN fails too.
+    if (!(knob >= 0.0 && knob < static_cast<double>(importance.size()) &&
+          knob == std::floor(knob))) {
+      return false;
+    }
+  }
 
   model->space = OptimizedSpace();
   model->space.state_dim = state_dim;

@@ -21,7 +21,8 @@ namespace hunter::core {
 bool SaveModel(const HunterModel& model, std::ostream& os);
 bool SaveModelToFile(const HunterModel& model, const std::string& path);
 
-// Deserializes a model; returns false on parse failure (leaving `model`
+// Deserializes a model; returns false on parse failure or on a selected
+// knob that is not an index into knob_importance (leaving `model`
 // unspecified).
 bool LoadModel(std::istream& is, HunterModel* model);
 bool LoadModelFromFile(const std::string& path, HunterModel* model);

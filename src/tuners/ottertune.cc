@@ -69,10 +69,6 @@ std::vector<std::vector<double>> OtterTuneTuner::Propose(size_t count) {
   return proposals;
 }
 
-double OtterTuneTuner::Acquisition(const std::vector<double>& candidate) const {
-  return gp_.ExpectedImprovement(candidate, best_fitness_);
-}
-
 void OtterTuneTuner::AcquisitionBatch(const linalg::Matrix& candidates,
                                       std::vector<double>* scores) const {
   gp_.ExpectedImprovementBatch(candidates, best_fitness_, scores);

@@ -40,14 +40,10 @@ class OtterTuneTuner : public Tuner {
   void BindObservability(obs::Journal* journal) override;
 
  protected:
-  // ResTune subclasses this and biases the acquisition.
-  virtual double Acquisition(const std::vector<double>& candidate) const;
-
-  // Scores one candidate per row of `candidates` into `scores` (resized).
-  // Propose uses this — the whole EI candidate set is scored in one
-  // GEMM-backed pass instead of per-candidate kernel loops. The base
-  // implementation matches Acquisition row-for-row; ResTune overrides both
-  // consistently.
+  // Scores one candidate per row of `candidates` into `scores` (resized):
+  // the GP's expected improvement over the incumbent, the whole candidate
+  // set in one GEMM-backed pass. Propose scores candidates only through
+  // this; ResTune overrides it to blend in historical models.
   virtual void AcquisitionBatch(const linalg::Matrix& candidates,
                                 std::vector<double>* scores) const;
 

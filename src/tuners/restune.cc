@@ -21,38 +21,16 @@ double ResTuneTuner::WorkloadSimilarity(const BaseModel& base) const {
   return std::exp(-sq / 0.5);
 }
 
-double ResTuneTuner::Acquisition(const std::vector<double>& candidate) const {
-  // Target EI as in OtterTune.
-  double score = gp_.ExpectedImprovement(candidate, best_fitness_);
-  if (base_models_.empty()) return score;
-
-  // Blend in historical models, weighted by workload similarity. Historical
-  // weight shrinks as target evidence grows.
-  const double evidence = static_cast<double>(observed_fitness_.size());
-  const double meta_weight = 1.0 / (1.0 + 0.1 * evidence);
-  double meta_score = 0.0;
-  double weight_sum = 0.0;
-  for (const BaseModel& base : base_models_) {
-    const double similarity = WorkloadSimilarity(base);
-    meta_score +=
-        similarity * base.gp->ExpectedImprovement(candidate, best_fitness_);
-    weight_sum += similarity;
-  }
-  if (weight_sum > 1e-9) {
-    score = (1.0 - meta_weight) * score +
-            meta_weight * (meta_score / weight_sum);
-  }
-  return score;
-}
-
 void ResTuneTuner::AcquisitionBatch(const linalg::Matrix& candidates,
                                     std::vector<double>* scores) const {
-  // Target EI for the whole candidate set in one batched pass.
+  // Target EI for the whole candidate set in one batched pass, as in
+  // OtterTune.
   gp_.ExpectedImprovementBatch(candidates, best_fitness_, scores);
   if (base_models_.empty()) return;
 
-  // One batched EI pass per base model, accumulated per candidate in base
-  // order — the same per-candidate addition sequence as the scalar path.
+  // Blend in historical models, weighted by workload similarity: one
+  // batched EI pass per base model, accumulated per candidate in base
+  // order. Historical weight shrinks as target evidence grows.
   const double evidence = static_cast<double>(observed_fitness_.size());
   const double meta_weight = 1.0 / (1.0 + 0.1 * evidence);
   std::vector<double> meta_scores(candidates.rows(), 0.0);

@@ -36,7 +36,6 @@ class ResTuneTuner : public OtterTuneTuner {
   }
 
  protected:
-  double Acquisition(const std::vector<double>& candidate) const override;
   void AcquisitionBatch(const linalg::Matrix& candidates,
                         std::vector<double>* scores) const override;
 

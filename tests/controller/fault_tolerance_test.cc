@@ -3,6 +3,8 @@
 // straggler timeouts with requeue, permanent clone death with replacement,
 // and honest sim-clock accounting for all of it.
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -169,6 +171,32 @@ TEST_F(FaultToleranceTest, StragglerTimeoutRequeuesThenAcceptsLastAttempt) {
   // Clock saw both timeouts plus the accepted slow run.
   EXPECT_GT(controller->clock().seconds() - before,
             2 * 300.0 + 10.0 * Actor::kExecutionSeconds);
+}
+
+TEST_F(FaultToleranceTest, CancelledStragglerRetryReplaysTheSameRun) {
+  // Each cancelled attempt rolls its clone back, so the accepted third
+  // attempt starts from the state the first one did: its sample must equal,
+  // bit for bit, the one a fault-free clone measures on the same seed.
+  ControllerOptions faulty = BaseOptions(1);
+  faulty.faults.seed = 4;
+  faulty.faults.straggler_rate = 1.0;
+  faulty.faults.straggler_slowdown = 10.0;
+  faulty.straggler_timeout_seconds = 300.0;
+  faulty.max_retries = 2;
+  auto faulty_controller = Make(faulty);
+  auto clean_controller = Make(BaseOptions(1));
+
+  const Sample replayed = faulty_controller->EvaluateBatch(Batch(1))[0];
+  const Sample clean = clean_controller->EvaluateBatch(Batch(1))[0];
+  ASSERT_EQ(faulty_controller->fault_stats().straggler_timeouts, 2u);
+  ASSERT_EQ(replayed.attempts, 3);
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(replayed.throughput_tps), bits(clean.throughput_tps));
+  EXPECT_EQ(bits(replayed.latency_p95_ms), bits(clean.latency_p95_ms));
+  ASSERT_EQ(replayed.metrics.size(), clean.metrics.size());
+  for (size_t i = 0; i < clean.metrics.size(); ++i) {
+    EXPECT_EQ(bits(replayed.metrics[i]), bits(clean.metrics[i])) << i;
+  }
 }
 
 TEST_F(FaultToleranceTest, ConcurrentRunMatchesSerialRunExactly) {

@@ -4,6 +4,7 @@
 #include <locale>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +120,44 @@ TEST(ModelIoTest, RejectsTruncatedStream) {
   std::stringstream truncated(text.substr(0, text.size() / 2));
   HunterModel model;
   EXPECT_FALSE(LoadModel(truncated, &model));
+}
+
+// Replaces the `tag` line of a saved model with `line`.
+std::string ReplaceLine(const std::string& text, const std::string& tag,
+                        const std::string& line) {
+  const size_t start = text.find("\n" + tag + " ") + 1;
+  const size_t end = text.find('\n', start);
+  return text.substr(0, start) + line + text.substr(end);
+}
+
+TEST(ModelIoTest, RejectsOversizedCount) {
+  // A corrupt count must fail the load, not size an allocation.
+  std::stringstream saved;
+  ASSERT_TRUE(SaveModel(MakeModel(false), saved));
+  std::stringstream stream(ReplaceLine(saved.str(), "selected_knobs",
+                                       "selected_knobs 99999999999999 3 1"));
+  HunterModel model;
+  EXPECT_FALSE(LoadModel(stream, &model));
+}
+
+TEST(ModelIoTest, RejectsOutOfRangeKnobIndex) {
+  std::stringstream saved;
+  ASSERT_TRUE(SaveModel(MakeModel(false), saved));
+  const std::string text = ReplaceLine(saved.str(), "knob_importance",
+                                       "knob_importance 3 0.5 0.25 0.25");
+  for (const char* knobs :
+       {"selected_knobs 2 1 -1", "selected_knobs 1 70", "selected_knobs 1 3",
+        "selected_knobs 1 1.5"}) {
+    std::stringstream stream(ReplaceLine(text, "selected_knobs", knobs));
+    HunterModel model;
+    EXPECT_FALSE(LoadModel(stream, &model)) << knobs;
+  }
+  // The last index in range still loads.
+  std::stringstream stream(
+      ReplaceLine(text, "selected_knobs", "selected_knobs 2 0 2"));
+  HunterModel model;
+  ASSERT_TRUE(LoadModel(stream, &model));
+  EXPECT_EQ(model.space.selected_knobs, (std::vector<size_t>{0, 2}));
 }
 
 TEST(ModelIoTest, MissingFileFails) {

@@ -5,6 +5,7 @@
 //  * folding the charged spans in record order reproduces the simulated
 //    clock total bit-exactly (no double- or missed charges anywhere in the
 //    tuning loop, including retry/crash/straggler/reclone paths);
+//  * the ordered metric-name vocabulary is pinned exactly;
 //  * runs with different seeds tell different stories but share the same
 //    schema: same meta keys, same ordered metric-name vocabulary, same
 //    Table-1 stage vocabulary.
@@ -37,14 +38,11 @@ struct RunDigest {
   std::vector<std::string> metric_names;  // from the first metrics record
   std::set<std::string> stages;
   size_t records = 0;
-  double eval_cache_hits = 0.0;  // from the last metrics record
 };
 
 // One small tuning run (2 clones, ~0.8 simulated hours, faults on) — the
 // same shape as examples/trace_journal.cpp, reduced for test runtime.
-// `memo_cache` toggles the clones' steady-state memoization; the journal
-// must not be able to tell the difference (the cache saves real CPU only).
-RunDigest RunOnce(uint64_t seed, bool memo_cache = true) {
+RunDigest RunOnce(uint64_t seed) {
   cdb::KnobCatalog catalog = cdb::MySqlCatalog();
   auto user_instance = std::make_unique<cdb::CdbInstance>(
       &catalog, cdb::MySqlEvaluationInstance(), cdb::MySqlEngineTuning(),
@@ -59,7 +57,6 @@ RunDigest RunOnce(uint64_t seed, bool memo_cache = true) {
   controller_options.faults.crash_rate = 0.04;
   controller_options.faults.straggler_rate = 0.25;
   controller_options.straggler_timeout_seconds = 400.0;
-  controller_options.engine_memo_cache = memo_cache;
   controller::Controller controller(std::move(user_instance),
                                     workload::Tpcc(), controller_options);
 
@@ -97,11 +94,6 @@ RunDigest RunOnce(uint64_t seed, bool memo_cache = true) {
             digest.metric_names.push_back(m.name);
           }
         }
-        for (const obs::MetricSnapshot& m : r.metrics) {
-          if (m.name == "engine.eval_cache_hits") {
-            digest.eval_cache_hits = m.value;  // last record wins
-          }
-        }
         break;
       case obs::Record::Type::kEvent:
         break;
@@ -118,22 +110,6 @@ TEST(JournalDeterminismTest, SameSeedRunsAreByteIdentical) {
   EXPECT_DOUBLE_EQ(a.clock_seconds, b.clock_seconds);
 }
 
-TEST(JournalDeterminismTest, MemoCacheOnAndOffAreByteIdentical) {
-  // The engine memo cache may only save real CPU: with it on, a straggler's
-  // rolled-back retry is served from the cache; with it off, the engine
-  // re-runs the identical replay. Same seed, same simulated time, same
-  // counters (lookup bookkeeping runs either way) — byte-identical journal.
-  const RunDigest cached = RunOnce(42, /*memo_cache=*/true);
-  const RunDigest uncached = RunOnce(42, /*memo_cache=*/false);
-  ASSERT_GT(cached.records, 0u);
-  EXPECT_EQ(cached.journal_bytes, uncached.journal_bytes);
-  EXPECT_DOUBLE_EQ(cached.clock_seconds, uncached.clock_seconds);
-  // The run must actually exercise the cache (straggler retries hit it),
-  // otherwise this test proves nothing.
-  EXPECT_GT(cached.eval_cache_hits, 0.0);
-  EXPECT_EQ(cached.eval_cache_hits, uncached.eval_cache_hits);
-}
-
 TEST(JournalDeterminismTest, ChargedSpansReproduceClockTotalExactly) {
   const RunDigest digest = RunOnce(42);
   // Bit-exact, not approximate: the fold replays the identical sequence of
@@ -141,6 +117,35 @@ TEST(JournalDeterminismTest, ChargedSpansReproduceClockTotalExactly) {
   EXPECT_DOUBLE_EQ(digest.folded_charged_seconds, digest.clock_seconds);
   EXPECT_DOUBLE_EQ(digest.tracer_charged_seconds, digest.clock_seconds);
   EXPECT_GT(digest.clock_seconds, 0.0);
+}
+
+TEST(JournalDeterminismTest, MetricVocabularyIsPinned) {
+  // The exact metric schema, in registration order. A change to it must be
+  // a deliberate edit of this list.
+  const std::vector<std::string> expected = {
+      "engine.buffer_pool_hit_ratio",
+      "engine.wal_group_commit_size",
+      "engine.deadlocks",
+      "controller.rounds",
+      "controller.attempts",
+      "controller.retries",
+      "controller.transient_deploy_failures",
+      "controller.crashes",
+      "controller.straggler_timeouts",
+      "controller.permanent_deaths",
+      "controller.reclones",
+      "controller.failed_samples",
+      "controller.round_seconds",
+      "controller.clone_utilization",
+      "engine.pool_resets",
+      "engine.pool_slab_reuses",
+      "hunter.ga_generations",
+      "hunter.sso_refreshes",
+      "hunter.ddpg_train_steps",
+      "hunter.pool_size",
+      "linalg.simd_tier",
+  };
+  EXPECT_EQ(RunOnce(42).metric_names, expected);
 }
 
 TEST(JournalDeterminismTest, DifferentSeedsShareTheSchema) {

@@ -21,7 +21,7 @@
 #      report a real difference (exit 1) between the tree and the
 #      violation fixtures
 #   8. a sanitizer smoke: `ctest -L concurrency` under TSan
-#   9. a sanitizer smoke: `ctest -L concurrency` under ASan+LSan with
+#   9. the whole tier-1 suite under ASan+LSan, with
 #      ASAN_OPTIONS=detect_leaks=1 so leaks fail at exit
 #
 # Run from anywhere: paths are resolved relative to the repo root. Build
@@ -105,11 +105,10 @@ cmake -B build-check-tsan -S . -DHUNTER_SANITIZE=thread
 cmake --build build-check-tsan -j "$JOBS"
 ctest --test-dir build-check-tsan -L concurrency --output-on-failure -j "$JOBS"
 
-echo "== [9/9] ASan+LSan concurrency smoke =="
+echo "== [9/9] ASan+LSan tier-1 tests =="
 cmake -B build-check-asan -S . -DHUNTER_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=1 \
-  ctest --test-dir build-check-asan -L concurrency --output-on-failure \
-      -j "$JOBS"
+  ctest --test-dir build-check-asan --output-on-failure -j "$JOBS"
 
 echo "check.sh: all gates passed"
