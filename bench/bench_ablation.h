@@ -39,9 +39,9 @@ inline void RunAblationTable(const Scenario& scenario, double unit_scale,
   for (const AblationVariant& variant : AblationVariants()) {
     core::HunterOptions options;
     options.use_ga = variant.ga;
-    options.use_pca = variant.pca;
-    options.use_rf = variant.rf;
-    options.use_fes = variant.fes;
+    options.optimizer.use_pca = variant.pca;
+    options.optimizer.use_rf = variant.rf;
+    options.recommender.use_fes = variant.fes;
     auto controller = MakeController(scenario, 1, 42);
     auto tuner = MakeHunter(scenario, options, seed);
     tuners::HarnessOptions harness;

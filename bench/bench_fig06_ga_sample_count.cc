@@ -18,8 +18,8 @@ double BestAfterDrl(const Scenario& scenario, size_t ga_samples,
   core::HunterOptions options;
   options.ga.target_samples = ga_samples;
   // Figure 6 isolates the warm-start effect: DRL over all 65 knobs.
-  options.use_pca = false;
-  options.use_rf = false;
+  options.optimizer.use_pca = false;
+  options.optimizer.use_rf = false;
   auto tuner = MakeHunter(scenario, options, seed);
   tuners::HarnessOptions harness;
   // "10 hours DRL tuning": budget = GA phase + 10 hours.

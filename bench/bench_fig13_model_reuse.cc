@@ -25,7 +25,8 @@ core::HunterModel TrainModel(const Scenario& scenario, uint64_t seed) {
   return model.value();
 }
 
-void RunDirection(const Scenario& source, const Scenario& target,
+// Returns false if the matched model does not fit the target tuner.
+bool RunDirection(const Scenario& source, const Scenario& target,
                   core::ModelRegistry* registry, uint64_t seed) {
   std::printf("\n### %s <- %s\n\n", target.name.c_str(), source.name.c_str());
   tuners::HarnessOptions harness;
@@ -52,8 +53,11 @@ void RunDirection(const Scenario& source, const Scenario& target,
     auto controller = MakeController(target, 1, 42);
     auto tuner = MakeHunter(target, core::HunterOptions{}, seed + 1);
     tuner->set_name("HUNTER-MR");
-    if (matched.has_value()) {
-      tuner->ImportModel(*matched);  // skip Sample Factory + Optimizer
+    // Importing skips the Sample Factory and the Optimizer.
+    if (matched.has_value() && !tuner->ImportModel(*matched)) {
+      std::fprintf(stderr, "model %s does not fit %s\n",
+                   matched->signature.c_str(), target.name.c_str());
+      return false;
     }
     results.push_back(
         tuners::RunTuning(tuner.get(), controller.get(), harness));
@@ -63,6 +67,7 @@ void RunDirection(const Scenario& source, const Scenario& target,
                         "txn/s");
   std::printf("\n");
   PrintSummaries(results, 1.0, "txn/s");
+  return true;
 }
 
 }  // namespace
@@ -74,8 +79,10 @@ int main() {
   core::ModelRegistry registry;
   auto rw41 = bench::MySqlSysbenchRwRatio(4.0);
   auto rw11 = bench::MySqlSysbenchRwRatio(1.0);
-  bench::RunDirection(rw11, rw41, &registry, 7);  // 4:1 <- 1:1
-  bench::RunDirection(rw41, rw11, &registry, 7);  // 1:1 <- 4:1
+  if (!bench::RunDirection(rw11, rw41, &registry, 7) ||  // 4:1 <- 1:1
+      !bench::RunDirection(rw41, rw11, &registry, 7)) {   // 1:1 <- 4:1
+    return 1;
+  }
   std::printf(
       "\npaper shape: HUNTER-MR peaks slightly below HUNTER but reaches its "
       "optimum ~8-10 h sooner, approaching HUNTER-5's efficiency.\n");

@@ -393,7 +393,7 @@ class RandomForest {
 
 // The seed GaussianProcess, kept verbatim: allocating per-row kernel loops,
 // a full O(n^3) refactorization on every Fit, and the two-pass
-// (forward + back substitution) variance in Predict. The incremental GP must
+// (forward + back substitution) variance in Predict. The production GP must
 // match its predictions to 1e-9 and its EI scores bit-for-near-bit.
 class SeedGp {
  public:
@@ -909,9 +909,9 @@ void BenchForest(bool smoke) {
 }
 
 void BenchGpFit(bool smoke) {
-  // The BO tuners' steady state: one new observation per Observe, one Fit
-  // per observation over the growing sample window. The baseline pays a
-  // full refactorization per step; the incremental GP grows its factor.
+  // The BO tuners' window fill: one new observation per Observe, one Fit
+  // per observation over the growing sample window. Both paths refactorize
+  // per step; the production GP builds its kernel from one Gram GEMM.
   const size_t n = smoke ? 24 : 120;
   const size_t d = smoke ? 8 : 48;
   const size_t n0 = 4;  // observations fitted before the growth loop
@@ -937,10 +937,10 @@ void BenchGpFit(bool smoke) {
   // Equivalence: run the growth loop once on each path and compare the
   // final posteriors at random probes.
   ref::SeedGp seed_gp;
-  hunter::ml::GaussianProcess inc_gp;
+  hunter::ml::GaussianProcess gp;
   for (size_t m = n0; m <= n; ++m) {
     seed_gp.Fit(prefix_x(m), prefix_y(m));
-    inc_gp.Fit(prefix_x(m), prefix_y(m));
+    gp.Fit(prefix_x(m), prefix_y(m));
   }
   Rng probe_rng(0xBEEF10);
   double diff = 0.0;
@@ -948,35 +948,27 @@ void BenchGpFit(bool smoke) {
     std::vector<double> probe(d);
     for (double& v : probe) v = probe_rng.Uniform(0.0, 1.0);
     const auto seed_pred = seed_gp.Predict(probe);
-    const auto inc_pred = inc_gp.Predict(probe);
-    diff = std::max(diff, std::abs(seed_pred.mean - inc_pred.mean));
-    diff = std::max(diff, std::abs(seed_pred.variance - inc_pred.variance));
+    const auto pred = gp.Predict(probe);
+    diff = std::max(diff, std::abs(seed_pred.mean - pred.mean));
+    diff = std::max(diff, std::abs(seed_pred.variance - pred.variance));
     diff = std::max(diff, std::abs(seed_gp.ExpectedImprovement(probe, 0.5) -
-                                   inc_gp.ExpectedImprovement(probe, 0.5)));
+                                   gp.ExpectedImprovement(probe, 0.5)));
   }
-  RecordEquiv("gp_incremental_vs_seed", diff, 1e-9);
-  // The growth loop must actually have taken the rank-1 append path (one
-  // full refit at n0, one append per later step); a silent fallback to
-  // full refits would make the timing below meaningless.
-  const double expected_appends = static_cast<double>(n - n0);
-  RecordEquiv("gp_incremental_path_used",
-              std::abs(static_cast<double>(inc_gp.incremental_updates()) -
-                       expected_appends),
-              0.0);
+  RecordEquiv("gp_fit_vs_seed", diff, 1e-9);
 
   const double baseline_ms = TimeMs(
       [&] {
-        ref::SeedGp gp;
-        for (size_t m = n0; m <= n; ++m) gp.Fit(prefix_x(m), prefix_y(m));
+        ref::SeedGp timed;
+        for (size_t m = n0; m <= n; ++m) timed.Fit(prefix_x(m), prefix_y(m));
       },
       iters);
   const double optimized_ms = TimeMs(
       [&] {
-        hunter::ml::GaussianProcess gp;
-        for (size_t m = n0; m <= n; ++m) gp.Fit(prefix_x(m), prefix_y(m));
+        hunter::ml::GaussianProcess timed;
+        for (size_t m = n0; m <= n; ++m) timed.Fit(prefix_x(m), prefix_y(m));
       },
       iters);
-  RecordBench("gp_fit_incremental",
+  RecordBench("gp_fit",
               "grow " + std::to_string(n0) + "->" + std::to_string(n) +
                   " obs, d=" + std::to_string(d),
               baseline_ms, optimized_ms);
@@ -1386,8 +1378,8 @@ void BenchGemmSimd(bool smoke) {
 }
 
 void BenchGpKernelSimd(bool smoke) {
-  // The GP's vectorized kernels end to end: gram build and Cholesky append
-  // (SquaredDistInto + CholeskyDowndate4) inside Fit, then the GEMM-backed
+  // The GP's vectorized kernels end to end: the gram build
+  // (SquaredDistInto) inside Fit, then the GEMM-backed
   // cross-covariance and squared-distance expansion inside
   // ExpectedImprovementBatch.
   const size_t n = smoke ? 24 : 120;

@@ -16,9 +16,6 @@ HunterTuner::HunterTuner(const cdb::KnobCatalog* catalog, Rules rules,
     factory_ = std::make_unique<GeneticSampleFactory>(
         catalog_, &rules_, options_.ga, rng_.NextU64());
   }
-  options_.optimizer.use_pca = options_.use_pca;
-  options_.optimizer.use_rf = options_.use_rf;
-  options_.recommender.use_fes = options_.use_fes;
 }
 
 void HunterTuner::BindObservability(obs::Journal* journal) {
@@ -98,12 +95,9 @@ void HunterTuner::Observe(const std::vector<controller::Sample>& samples) {
     }
     return;
   }
+  const size_t trained = recommender_->train_steps();
   recommender_->Observe(usable);
-  if (ddpg_train_steps_counter_ != nullptr) {
-    ddpg_train_steps_counter_->Increment(static_cast<double>(
-        usable.size() *
-        static_cast<size_t>(options_.recommender.train_steps_per_sample)));
-  }
+  ReportTrainSteps(recommender_->train_steps() - trained);
   recommend_samples_ += usable.size();
   if (options_.reoptimize_every > 0 &&
       recommend_samples_ >= options_.reoptimize_every) {
@@ -134,7 +128,14 @@ void HunterTuner::MaybeTransitionToRecommend() {
   std::vector<double> base;
   if (pool_.Best(&best)) base = best.knobs;
   recommender_->WarmStart(snapshot, base);
+  ReportTrainSteps(recommender_->train_steps());
   phase_ = Phase::kRecommend;
+}
+
+void HunterTuner::ReportTrainSteps(size_t steps) {
+  if (ddpg_train_steps_counter_ != nullptr) {
+    ddpg_train_steps_counter_->Increment(static_cast<double>(steps));
+  }
 }
 
 std::optional<HunterModel> HunterTuner::ExportModel() const {
@@ -147,13 +148,26 @@ std::optional<HunterModel> HunterTuner::ExportModel() const {
   return model;
 }
 
-void HunterTuner::ImportModel(const HunterModel& model) {
-  recommender_ = std::make_unique<Recommender>(
-      catalog_, &rules_, model.space, options_.recommender, rng_.NextU64());
-  recommender_->LoadModel(model.ddpg_parameters);
+bool HunterTuner::ImportModel(const HunterModel& model) {
+  const size_t knobs = catalog_->size();
+  if (model.base_config.size() != knobs ||
+      model.space.knob_importance.size() != knobs) {
+    return false;
+  }
+  for (const size_t knob : model.space.selected_knobs) {
+    if (knob >= knobs) return false;
+  }
+  // The seed comes from a copy of rng_, committed only on success.
+  common::Rng rng = rng_;
+  auto recommender = std::make_unique<Recommender>(
+      catalog_, &rules_, model.space, options_.recommender, rng.NextU64());
+  if (!recommender->LoadModel(model.ddpg_parameters)) return false;
   // Fine-tuning starts from the imported incumbent; no Sample Factory run.
-  recommender_->WarmStart({}, model.base_config);
+  recommender->WarmStart({}, model.base_config);
+  recommender_ = std::move(recommender);
+  rng_ = rng;
   phase_ = Phase::kRecommend;
+  return true;
 }
 
 void ModelRegistry::Store(const HunterModel& model) {

@@ -10,10 +10,11 @@
 //             elapses; the best verified configuration is deployed on the
 //             user's instance by the Controller.
 //
-// Ablation flags (use_ga / use_pca / use_rf / use_fes) regenerate the
-// paper's Tables 3-5; with all four disabled HUNTER degenerates to the
-// CDBTune-style pure-DDPG tuner. ExportModel/ImportModel implement the §4
-// model-reuse schemes; ModelRegistry implements the online matching module.
+// Ablation flags (use_ga, optimizer.use_pca, optimizer.use_rf,
+// recommender.use_fes) regenerate the paper's Tables 3-5; with all four
+// disabled HUNTER degenerates to the CDBTune-style pure-DDPG tuner.
+// ExportModel/ImportModel implement the §4 model-reuse schemes;
+// ModelRegistry implements the online matching module.
 
 #ifndef HUNTER_HUNTER_HUNTER_H_
 #define HUNTER_HUNTER_HUNTER_H_
@@ -36,12 +37,9 @@ namespace hunter::core {
 
 struct HunterOptions {
   bool use_ga = true;
-  bool use_pca = true;
-  bool use_rf = true;
-  bool use_fes = true;
-  GaOptions ga;                 // ga.target_samples = 140 by default
-  OptimizerOptions optimizer;
-  RecommenderOptions recommender;
+  GaOptions ga;                    // ga.target_samples = 140 by default
+  OptimizerOptions optimizer;      // holds use_pca and use_rf
+  RecommenderOptions recommender;  // holds use_fes
   // Without GA, this many random samples seed the pool before the
   // recommender starts (CDBTune-style cold start).
   size_t random_warmup_without_ga = 10;
@@ -87,11 +85,17 @@ class HunterTuner : public tuners::Tuner {
 
   // §4 model reuse: exports the trained Recommender; importing one skips
   // the Sample Factory and Optimizer entirely and fine-tunes instead.
+  // ImportModel returns false, leaving the tuner as it was, unless the
+  // model fits this catalog (one base_config and knob_importance entry per
+  // knob, selected knobs in range) and its ddpg_parameters fit the network
+  // its space implies.
   std::optional<HunterModel> ExportModel() const;
-  void ImportModel(const HunterModel& model);
+  [[nodiscard]] bool ImportModel(const HunterModel& model);
 
  private:
   void MaybeTransitionToRecommend();
+  // Adds `steps` DDPG updates to hunter.ddpg_train_steps (when bound).
+  void ReportTrainSteps(size_t steps);
 
   std::string name_ = "HUNTER";
   const cdb::KnobCatalog* catalog_;

@@ -68,10 +68,14 @@ class Recommender {
   double best_fitness() const { return best_fitness_; }
   const std::vector<double>& best_full_config() const { return base_config_; }
 
-  // Model (de)serialization for the reuse schemes (§4).
+  // DDPG updates run so far (warm start included).
+  size_t train_steps() const { return agent_->train_steps(); }
+
+  // Model (de)serialization for the reuse schemes (§4). LoadModel returns
+  // false unless `params` fits the network this space implies.
   std::vector<double> SaveModel() const { return agent_->SaveParameters(); }
-  void LoadModel(const std::vector<double>& params) {
-    agent_->LoadParameters(params);
+  [[nodiscard]] bool LoadModel(const std::vector<double>& params) {
+    return agent_->LoadParameters(params);
   }
 
  private:

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <utility>
 
 #include "linalg/simd/simd.h"
 
@@ -72,12 +71,6 @@ std::vector<double> Matrix::Row(size_t r) const {
                              data_.begin() + static_cast<long>((r + 1) * cols_));
 }
 
-std::vector<double> Matrix::Col(size_t c) const {
-  std::vector<double> col(rows_);
-  for (size_t r = 0; r < rows_; ++r) col[r] = At(r, c);
-  return col;
-}
-
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {
@@ -123,40 +116,8 @@ std::vector<double> Matrix::MultiplyVector(const std::vector<double>& v) const {
   return result;
 }
 
-Matrix Matrix::Add(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix result(rows_, cols_);
-  simd::AddInto(data_.data(), other.data_.data(), result.data_.data(),
-                data_.size());
-  return result;
-}
-
-Matrix Matrix::Subtract(const Matrix& other) const {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix result(rows_, cols_);
-  simd::SubInto(data_.data(), other.data_.data(), result.data_.data(),
-                data_.size());
-  return result;
-}
-
-Matrix Matrix::Scale(double factor) const {
-  Matrix result(rows_, cols_);
-  simd::ScaleInto(data_.data(), factor, result.data_.data(), data_.size());
-  return result;
-}
-
-void Matrix::AddInPlace(const Matrix& other) {
-  assert(rows_ == other.rows_ && cols_ == other.cols_);
-  simd::AddInto(data_.data(), other.data_.data(), data_.data(), data_.size());
-}
-
 void Matrix::ScaleInPlace(double factor) {
   simd::ScaleInto(data_.data(), factor, data_.data(), data_.size());
-}
-
-void Matrix::Axpy(double alpha, const Matrix& x) {
-  assert(rows_ == x.rows_ && cols_ == x.cols_);
-  simd::AxpyInPlace(alpha, x.data_.data(), data_.data(), data_.size());
 }
 
 std::vector<double> ColumnMeans(const Matrix& data) {
@@ -456,55 +417,6 @@ bool Cholesky(const Matrix& a, Matrix* lower) {
       }
     }
   }
-  return true;
-}
-
-// hunterlint: hot
-bool CholeskyAppendRow(const std::vector<double>& new_row, Matrix* lower) {
-  const size_t n = lower->rows();
-  assert(lower->cols() == n);
-  assert(new_row.size() == n + 1);
-  // The appended row satisfies L(n, j) = (A(n, j) - sum_{k<j} L(n,k) L(j,k))
-  // / L(j, j) — exactly the recurrence full factorization evaluates for its
-  // last row, with the same operand values in the same order, so the grown
-  // factor matches a from-scratch refactorization bit for bit.
-  std::vector<double> row(n + 1, 0.0);
-  // Blocked left-looking evaluation: four appended-row columns at a time.
-  // The vector primitive folds the k < j0 prefix common to all four lanes
-  // (independent output elements, k ascending per lane); the triangular
-  // remainder k in [j0, j) and the divide finish serially per lane, in lane
-  // order, so row[j] is always complete before lane j+1 reads it. Term
-  // order per element is untouched — the factor still matches a
-  // from-scratch refactorization bit for bit.
-  size_t j0 = 0;
-  for (; j0 + 4 <= n; j0 += 4) {
-    double sums[4] = {new_row[j0], new_row[j0 + 1], new_row[j0 + 2],
-                      new_row[j0 + 3]};
-    simd::CholeskyDowndate4(lower->Data(), n, j0, /*k_end=*/j0, row.data(),
-                            sums);
-    for (size_t l = 0; l < 4; ++l) {
-      const size_t j = j0 + l;
-      double sum = sums[l];
-      for (size_t k = j0; k < j; ++k) sum -= row[k] * lower->At(j, k);
-      row[j] = sum / lower->At(j, j);
-    }
-  }
-  for (size_t j = j0; j < n; ++j) {
-    double sum = new_row[j];
-    for (size_t k = 0; k < j; ++k) sum -= row[k] * lower->At(j, k);
-    row[j] = sum / lower->At(j, j);
-  }
-  double diag = new_row[n];
-  for (size_t k = 0; k < n; ++k) diag -= row[k] * row[k];
-  if (diag <= 0.0) return false;
-  row[n] = std::sqrt(diag);
-
-  Matrix grown(n + 1, n + 1);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) grown.At(i, j) = lower->At(i, j);
-  }
-  for (size_t j = 0; j <= n; ++j) grown.At(n, j) = row[j];
-  *lower = std::move(grown);
   return true;
 }
 

@@ -85,7 +85,6 @@ class Matrix {
   void Fill(double value);
 
   std::vector<double> Row(size_t r) const;
-  std::vector<double> Col(size_t c) const;
 
   // Non-allocating row view; see RowSpan for the lifetime caveat.
   RowSpan RowView(size_t r) const { return {data_.data() + r * cols_, cols_}; }
@@ -100,16 +99,8 @@ class Matrix {
   void TransposedMultiplyInto(const Matrix& other, Matrix* out,
                               bool accumulate = false) const;
 
-  // Element-wise operations (shapes must match).
-  Matrix Add(const Matrix& other) const;
-  Matrix Subtract(const Matrix& other) const;
-  Matrix Scale(double factor) const;
-
-  // In-place element-wise operations — no temporaries.
-  void AddInPlace(const Matrix& other);
+  // In-place scaling — no temporaries.
   void ScaleInPlace(double factor);
-  // this += alpha * x (shapes must match).
-  void Axpy(double alpha, const Matrix& x);
 
   const std::vector<double>& data() const { return data_; }
 
@@ -156,16 +147,6 @@ EigenResult SymmetricEigenJacobi(const Matrix& symmetric, int max_sweeps = 64);
 // Cholesky factorization A = L * L^T of a symmetric positive-definite
 // matrix. Returns false if the matrix is not (numerically) SPD.
 bool Cholesky(const Matrix& a, Matrix* lower);
-
-// Grows a Cholesky factor by one row/column: on entry `lower` is the n x n
-// factor of the leading n x n block of an (n+1) x (n+1) symmetric matrix A,
-// and `new_row` holds A(n, 0..n) — the appended row including the new
-// diagonal element. On success `lower` becomes the (n+1) x (n+1) factor.
-// The appended row is computed by exactly the recurrence full factorization
-// uses for its last row, so the grown factor is bit-identical to
-// refactorizing from scratch. Returns false (leaving `lower` untouched) if
-// the appended diagonal is not numerically positive.
-bool CholeskyAppendRow(const std::vector<double>& new_row, Matrix* lower);
 
 // Solves A x = b given the Cholesky factor L (forward + back substitution).
 std::vector<double> CholeskySolve(const Matrix& lower,

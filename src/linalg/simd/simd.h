@@ -1,8 +1,7 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
 // paths: the GEMM micro-kernels, the elementwise Matrix ops, the GP
-// squared-distance expansion, the Cholesky row-append downdate, PCA
-// centering/standardization, and the MLP activation / gradient / Adam /
-// soft-update loops.
+// squared-distance expansion, PCA centering/standardization, and the MLP
+// activation / gradient / Adam / soft-update loops.
 //
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
@@ -136,10 +135,6 @@ void SubIntoAvx2(const double* x, const double* y, double* out, size_t n);
 void ScaleIntoScalar(const double* x, double factor, double* out, size_t n);
 void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n);
 
-// y[i] += alpha * x[i]
-void AxpyInPlaceScalar(double alpha, const double* x, double* y, size_t n);
-void AxpyInPlaceAvx2(double alpha, const double* x, double* y, size_t n);
-
 // dst[i] = tau * src[i] + (1 - tau) * dst[i]
 void SoftUpdateInPlaceScalar(double tau, const double* src, double* dst,
                              size_t n);
@@ -219,17 +214,6 @@ void ScaleClampIntoScalar(const double* x, double factor, double clip,
 void ScaleClampIntoAvx2(const double* x, double factor, double clip,
                         double* out, size_t n);
 
-// Four adjacent lanes of the Cholesky row-append downdate:
-//   sums[l] -= row[k] * lower[(j0 + l) * stride + k]   for k in [0, k_end)
-// k ascends within each lane, matching the scalar recurrence term for term;
-// the lanes are four INDEPENDENT output elements of the appended row. The
-// triangular remainder (k in [k_end, j0 + l)) and the divide stay with the
-// caller.
-void CholeskyDowndate4Scalar(const double* lower, size_t stride, size_t j0,
-                             size_t k_end, const double* row, double* sums);
-void CholeskyDowndate4Avx2(const double* lower, size_t stride, size_t j0,
-                           size_t k_end, const double* row, double* sums);
-
 // Dispatching wrappers for the elementwise kernels.
 
 inline void AddInto(const double* x, const double* y, double* out, size_t n) {
@@ -245,11 +229,6 @@ inline void SubInto(const double* x, const double* y, double* out, size_t n) {
 inline void ScaleInto(const double* x, double factor, double* out, size_t n) {
   if (DispatchAvx2()) ScaleIntoAvx2(x, factor, out, n);
   else ScaleIntoScalar(x, factor, out, n);
-}
-
-inline void AxpyInPlace(double alpha, const double* x, double* y, size_t n) {
-  if (DispatchAvx2()) AxpyInPlaceAvx2(alpha, x, y, n);
-  else AxpyInPlaceScalar(alpha, x, y, n);
 }
 
 inline void SoftUpdateInPlace(double tau, const double* src, double* dst,
@@ -319,12 +298,6 @@ inline void ScaleClampInto(const double* x, double factor, double clip,
                            double* out, size_t n) {
   if (DispatchAvx2()) ScaleClampIntoAvx2(x, factor, clip, out, n);
   else ScaleClampIntoScalar(x, factor, clip, out, n);
-}
-
-inline void CholeskyDowndate4(const double* lower, size_t stride, size_t j0,
-                              size_t k_end, const double* row, double* sums) {
-  if (DispatchAvx2()) CholeskyDowndate4Avx2(lower, stride, j0, k_end, row, sums);
-  else CholeskyDowndate4Scalar(lower, stride, j0, k_end, row, sums);
 }
 
 }  // namespace hunter::linalg::simd

@@ -50,16 +50,6 @@ void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
   for (; i < n; ++i) out[i] = x[i] * factor;
 }
 
-void AxpyInPlaceAvx2(double alpha, const double* x, double* y, size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void SoftUpdateInPlaceAvx2(double tau, const double* src, double* dst,
                            size_t n) {
   const double one_minus_tau = 1.0 - tau;
@@ -261,24 +251,6 @@ void ScaleClampIntoAvx2(const double* x, double factor, double clip,
   }
 }
 
-void CholeskyDowndate4Avx2(const double* lower, size_t stride, size_t j0,
-                           size_t k_end, const double* row, double* sums) {
-  const double* l0 = lower + (j0 + 0) * stride;
-  const double* l1 = lower + (j0 + 1) * stride;
-  const double* l2 = lower + (j0 + 2) * stride;
-  const double* l3 = lower + (j0 + 3) * stride;
-  __m256d acc = _mm256_loadu_pd(sums);
-  for (size_t k = 0; k < k_end; ++k) {
-    // One vector holds the SAME k-term of four independent lanes; k still
-    // ascends per lane, so each lane's subtraction chain is the scalar
-    // recurrence verbatim.
-    const __m256d rv = _mm256_set1_pd(row[k]);
-    const __m256d lv = _mm256_set_pd(l3[k], l2[k], l1[k], l0[k]);
-    acc = _mm256_sub_pd(acc, _mm256_mul_pd(rv, lv));
-  }
-  _mm256_storeu_pd(sums, acc);
-}
-
 }  // namespace hunter::linalg::simd
 
 #else  // !(__x86_64__ && __AVX2__)
@@ -295,9 +267,6 @@ void SubIntoAvx2(const double* x, const double* y, double* out, size_t n) {
 }
 void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
   ScaleIntoScalar(x, factor, out, n);
-}
-void AxpyInPlaceAvx2(double alpha, const double* x, double* y, size_t n) {
-  AxpyInPlaceScalar(alpha, x, y, n);
 }
 void SoftUpdateInPlaceAvx2(double tau, const double* src, double* dst,
                            size_t n) {
@@ -340,10 +309,6 @@ void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
 void ScaleClampIntoAvx2(const double* x, double factor, double clip,
                         double* out, size_t n) {
   ScaleClampIntoScalar(x, factor, clip, out, n);
-}
-void CholeskyDowndate4Avx2(const double* lower, size_t stride, size_t j0,
-                           size_t k_end, const double* row, double* sums) {
-  CholeskyDowndate4Scalar(lower, stride, j0, k_end, row, sums);
 }
 
 }  // namespace hunter::linalg::simd

@@ -23,10 +23,6 @@ void ScaleIntoScalar(const double* x, double factor, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] * factor;
 }
 
-void AxpyInPlaceScalar(double alpha, const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void SoftUpdateInPlaceScalar(double tau, const double* src, double* dst,
                              size_t n) {
   const double one_minus_tau = 1.0 - tau;
@@ -106,18 +102,6 @@ void ScaleClampIntoScalar(const double* x, double factor, double clip,
   for (size_t i = 0; i < n; ++i) {
     const double v = x[i] * factor;
     out[i] = v < -clip ? -clip : (clip < v ? clip : v);
-  }
-}
-
-void CholeskyDowndate4Scalar(const double* lower, size_t stride, size_t j0,
-                             size_t k_end, const double* row, double* sums) {
-  // Four independent lanes; each one's k ascends, so lane l's partial sum
-  // is term-for-term the scalar recurrence for appended-row column j0 + l.
-  for (size_t l = 0; l < 4; ++l) {
-    const double* lrow = lower + (j0 + l) * stride;
-    double sum = sums[l];
-    for (size_t k = 0; k < k_end; ++k) sum -= row[k] * lrow[k];
-    sums[l] = sum;
   }
 }
 

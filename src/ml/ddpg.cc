@@ -67,6 +67,7 @@ void Ddpg::AddTransition(Transition transition) {
 
 double Ddpg::TrainStep() {
   if (buffer_.empty()) return 0.0;
+  ++train_steps_;
   buffer_.SampleIndices(options_.batch_size, &rng_, &batch_indices_);
   return options_.batched_training ? TrainStepBatched() : TrainStepScalar();
 }
@@ -235,17 +236,19 @@ std::vector<double> Ddpg::SaveParameters() const {
   return params;
 }
 
-void Ddpg::LoadParameters(const std::vector<double>& params) {
+bool Ddpg::LoadParameters(const std::vector<double>& params) {
+  // Check the total first so a wrong length changes neither network.
   const size_t actor_size = actor_.SaveParameters().size();
-  assert(params.size() == actor_size + critic_.SaveParameters().size());
-  actor_.LoadParameters(
-      std::vector<double>(params.begin(),
-                          params.begin() + static_cast<long>(actor_size)));
-  critic_.LoadParameters(
-      std::vector<double>(params.begin() + static_cast<long>(actor_size),
-                          params.end()));
+  if (params.size() != actor_size + critic_.SaveParameters().size()) {
+    return false;
+  }
+  const auto split = params.begin() + static_cast<long>(actor_size);
+  const bool loaded =
+      actor_.LoadParameters(std::vector<double>(params.begin(), split)) &&
+      critic_.LoadParameters(std::vector<double>(split, params.end()));
   target_actor_.CopyFrom(actor_);
   target_critic_.CopyFrom(critic_);
+  return loaded;
 }
 
 }  // namespace hunter::ml

@@ -52,8 +52,10 @@ class Ddpg {
 
   // Performs one minibatch update of critic and actor plus soft target
   // updates. Returns the critic's mean squared TD error (0 if the buffer is
-  // empty). Deterministic given the RNG state.
+  // empty, when nothing trains). Deterministic given the RNG state.
   double TrainStep();
+  // Minibatch updates that actually ran (empty-buffer calls excluded).
+  size_t train_steps() const { return train_steps_; }
 
   // Target-critic estimate of Q(s, a) — used by tests and diagnostics.
   double EvaluateQ(const std::vector<double>& state,
@@ -65,7 +67,9 @@ class Ddpg {
 
   // Serializes actor+critic parameters for the model-reuse schemes (§4).
   std::vector<double> SaveParameters() const;
-  void LoadParameters(const std::vector<double>& params);
+  // Returns false, leaving the networks untouched, unless `params` holds
+  // exactly as many values as SaveParameters() returns.
+  [[nodiscard]] bool LoadParameters(const std::vector<double>& params);
 
  private:
   // The two TrainStep bodies; both consume `batch_indices_`.
@@ -79,6 +83,7 @@ class Ddpg {
   Mlp target_actor_;
   Mlp target_critic_;
   ReplayBuffer buffer_;
+  size_t train_steps_ = 0;
 
   // Sampled minibatch indices and batched-training arenas, reused across
   // steps so the steady-state train loop allocates nothing.

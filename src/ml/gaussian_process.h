@@ -10,12 +10,6 @@
 //  * The kernel matrix is built from the squared-distance expansion
 //    ‖a − b‖² = ‖a‖² + ‖b‖² − 2 aᵀb with the Gram matrix computed by one
 //    GemmTransposedAInto call, instead of an allocating per-row double loop.
-//  * Fit detects when the new training set extends the previous one (the
-//    steady state while the tuner's sample window is still filling) and
-//    grows the Cholesky factor by rank-1 row-appends — O(n²) per new
-//    observation instead of an O(n³) refactorization. The append path is
-//    bit-identical to a full refit (see linalg::CholeskyAppendRow); a full
-//    refit happens only when the window slides or the append goes non-SPD.
 //  * PredictBatch / ExpectedImprovementBatch score a whole candidate matrix
 //    in one GEMM-backed pass over reused scratch arenas, with the posterior
 //    variance taken from the forward substitution alone
@@ -27,7 +21,6 @@
 #define HUNTER_ML_GAUSSIAN_PROCESS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -46,9 +39,6 @@ class GaussianProcess {
 
   // Fits on inputs `x` (rows = observations in [0,1]^d) and targets `y`.
   // Returns false if the kernel matrix is numerically singular.
-  // When `x`/`y` bit-exactly extend the previously fitted training set
-  // (same leading rows, new rows appended), the factor is grown
-  // incrementally; the result is identical either way.
   bool Fit(const linalg::Matrix& x, const std::vector<double>& y);
 
   bool fitted() const { return fitted_; }
@@ -73,35 +63,19 @@ class GaussianProcess {
   void ExpectedImprovementBatch(const linalg::Matrix& x, double best_so_far,
                                 std::vector<double>* out) const;
 
-  // Observability: how many Fit calls refactorized from scratch vs grew the
-  // existing factor (exported as tuner.gp_* counters in run journals).
-  uint64_t full_refits() const { return full_refits_; }
-  uint64_t incremental_updates() const { return incremental_updates_; }
-
   const GpOptions& options() const { return options_; }
 
  private:
   double Kernel(linalg::RowSpan a, linalg::RowSpan b) const;
-  // SE kernel from the expansion parts: sq = norm_a + norm_b - 2 dot.
-  double KernelFromParts(double norm_a, double norm_b, double dot) const;
-  // True if (x, y) bit-exactly extend the fitted training set.
-  bool ExtendsTrainingSet(const linalg::Matrix& x,
-                          const std::vector<double>& y) const;
-  bool FitFull(const linalg::Matrix& x, const std::vector<double>& y);
-  bool FitIncremental(const linalg::Matrix& x, const std::vector<double>& y);
-  void RecomputeAlpha(const std::vector<double>& y);
 
   GpOptions options_;
   bool fitted_ = false;
   linalg::Matrix train_x_;         // n x d
   linalg::Matrix train_xt_;        // d x n, for the batch cross-kernel GEMM
-  std::vector<double> train_y_;
   std::vector<double> row_norms_;  // ‖x_i‖², bit-matching the Gram diagonal
   double y_mean_ = 0.0;
   linalg::Matrix chol_;            // Cholesky factor of K + noise I
   std::vector<double> alpha_;      // (K + noise I)^-1 (y - mean)
-  uint64_t full_refits_ = 0;
-  uint64_t incremental_updates_ = 0;
 
   // Scratch arenas for the batch paths (allocation-free in steady state).
   mutable linalg::Matrix cross_;           // m x n cross-kernel

@@ -311,10 +311,14 @@ std::vector<double> Mlp::SaveParameters() const {
   return params;
 }
 
-void Mlp::LoadParameters(const std::vector<double>& params) {
+bool Mlp::LoadParameters(const std::vector<double>& params) {
+  size_t expected = 0;
+  for (const Layer& layer : layers_) {
+    expected += layer.weights.size() + layer.bias.size();
+  }
+  if (params.size() != expected) return false;
   size_t offset = 0;
   for (Layer& layer : layers_) {
-    assert(offset + layer.weights.size() + layer.bias.size() <= params.size());
     std::copy(params.begin() + static_cast<long>(offset),
               params.begin() + static_cast<long>(offset + layer.weights.size()),
               layer.weights.begin());
@@ -325,7 +329,7 @@ void Mlp::LoadParameters(const std::vector<double>& params) {
     offset += layer.bias.size();
     layer.weights_t_valid = false;
   }
-  assert(offset == params.size());
+  return true;
 }
 
 size_t Mlp::input_dim() const {

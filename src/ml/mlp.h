@@ -78,9 +78,11 @@ class Mlp {
   void CopyFrom(const Mlp& other);
 
   // Flattened parameter vector (weights then biases per layer), used by the
-  // model-reuse schemes to save/restore a Recommender.
+  // model-reuse schemes to save/restore a Recommender. LoadParameters
+  // returns false, leaving the network untouched, unless `params` holds
+  // exactly as many values as SaveParameters() returns.
   std::vector<double> SaveParameters() const;
-  void LoadParameters(const std::vector<double>& params);
+  [[nodiscard]] bool LoadParameters(const std::vector<double>& params);
 
   size_t input_dim() const;
   size_t output_dim() const;

@@ -15,8 +15,6 @@
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "ml/gaussian_process.h"
-#include "obs/journal.h"
-#include "obs/metrics.h"
 #include "tuners/tuner.h"
 
 namespace hunter::tuners {
@@ -37,7 +35,6 @@ class OtterTuneTuner : public Tuner {
   std::string name() const override { return "OtterTune"; }
   std::vector<std::vector<double>> Propose(size_t count) override;
   void Observe(const std::vector<controller::Sample>& samples) override;
-  void BindObservability(obs::Journal* journal) override;
 
  protected:
   // Scores one candidate per row of `candidates` into `scores` (resized):
@@ -63,12 +60,6 @@ class OtterTuneTuner : public Tuner {
   // Candidate-scoring scratch, reused across Propose calls.
   linalg::Matrix candidate_matrix_;
   std::vector<double> candidate_scores_;
-
-  // GP refit observability (null when unbound).
-  obs::Counter* gp_full_refit_counter_ = nullptr;
-  obs::Counter* gp_incremental_counter_ = nullptr;
-  uint64_t last_full_refits_ = 0;
-  uint64_t last_incremental_updates_ = 0;
 };
 
 }  // namespace hunter::tuners

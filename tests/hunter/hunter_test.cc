@@ -1,5 +1,6 @@
 #include "hunter/hunter.h"
 
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -121,9 +122,9 @@ TEST_F(HunterTest, AblationWithoutGaUsesRandomWarmup) {
 TEST_F(HunterTest, AblationFlagsPropagate) {
   auto controller = MakeController(1);
   HunterOptions options = FastOptions();
-  options.use_pca = false;
-  options.use_rf = false;
-  options.use_fes = false;
+  options.optimizer.use_pca = false;
+  options.optimizer.use_rf = false;
+  options.recommender.use_fes = false;
   HunterTuner tuner(&catalog_, Rules(), options, 10);
   for (int round = 0; round < 35; ++round) {
     tuner.Observe(controller->EvaluateBatch(tuner.Propose(1)));
@@ -170,13 +171,79 @@ TEST_F(HunterTest, ModelReuseRoundTrip) {
 
   // A fresh HUNTER imports the model and skips straight to recommending.
   HunterTuner student(&catalog_, Rules(), FastOptions(), 14);
-  student.ImportModel(*model);
+  ASSERT_TRUE(student.ImportModel(*model));
   EXPECT_EQ(student.phase(), HunterTuner::Phase::kRecommend);
   auto controller2 = MakeController(1);
   const auto proposals = student.Propose(2);
   ASSERT_EQ(proposals.size(), 2u);
   const auto samples = controller2->EvaluateBatch(proposals);
   EXPECT_FALSE(samples[0].boot_failed);
+}
+
+TEST_F(HunterTest, ImportModelRejectsModelsThatDoNotFit) {
+  auto controller = MakeController(1);
+  HunterTuner teacher(&catalog_, Rules(), FastOptions(), 13);
+  for (int round = 0; round < 40; ++round) {
+    teacher.Observe(controller->EvaluateBatch(teacher.Propose(1)));
+  }
+  const auto model = teacher.ExportModel();
+  ASSERT_TRUE(model.has_value());
+
+  HunterModel too_short = *model;
+  too_short.ddpg_parameters.resize(2);
+  HunterModel too_long = *model;
+  too_long.ddpg_parameters.push_back(0.0);
+  HunterModel short_base = *model;
+  short_base.base_config.pop_back();
+  HunterModel knob_out_of_range = *model;
+  knob_out_of_range.space.selected_knobs.back() = catalog_.size();
+  HunterTuner student(&catalog_, Rules(), FastOptions(), 14);
+  for (const HunterModel* bad :
+       {&too_short, &too_long, &short_base, &knob_out_of_range}) {
+    EXPECT_FALSE(student.ImportModel(*bad));
+    EXPECT_EQ(student.phase(), HunterTuner::Phase::kSampleFactory);
+    EXPECT_EQ(student.recommender(), nullptr);
+  }
+
+  // The rejections left the student as it was: it now imports the good
+  // model and proposes exactly what a tuner that never saw them does.
+  HunterTuner fresh(&catalog_, Rules(), FastOptions(), 14);
+  ASSERT_TRUE(student.ImportModel(*model));
+  ASSERT_TRUE(fresh.ImportModel(*model));
+  EXPECT_EQ(student.Propose(3), fresh.Propose(3));
+}
+
+TEST_F(HunterTest, DdpgTrainStepsCountsUpdatesThatRan) {
+  // Four clones: every round brings more samples than the two samples'
+  // worth of updates Recommender::Observe runs per round.
+  auto controller = MakeController(4);
+  HunterOptions options = FastOptions();
+  options.reoptimize_every = 40;  // a refresh every ten rounds
+  HunterTuner tuner(&catalog_, Rules(), options, 15);
+  tuner.BindObservability(&controller->journal());
+  const size_t per_sample =
+      static_cast<size_t>(options.recommender.train_steps_per_sample);
+  size_t observe_steps = 0;
+  for (int round = 0; round < 40; ++round) {
+    const auto proposals = tuner.Propose(4);
+    const bool recommending =
+        tuner.phase() == HunterTuner::Phase::kRecommend;
+    const auto samples = controller->EvaluateBatch(proposals);
+    tuner.Observe(samples);
+    const size_t usable = static_cast<size_t>(std::count_if(
+        samples.begin(), samples.end(),
+        [](const controller::Sample& s) { return !s.evaluation_failed; }));
+    if (recommending) {
+      observe_steps += std::min(per_sample * usable, 2 * per_sample);
+    }
+  }
+  obs::MetricsRegistry* registry = controller->journal().registry();
+  const double refreshes =
+      registry->RegisterCounter("hunter.sso_refreshes")->value();
+  EXPECT_GE(refreshes, 3.0);
+  EXPECT_EQ(registry->RegisterCounter("hunter.ddpg_train_steps")->value(),
+            refreshes * options.recommender.warm_start_updates +
+                static_cast<double>(observe_steps));
 }
 
 TEST_F(HunterTest, ModelRegistryMatchesBySignature) {

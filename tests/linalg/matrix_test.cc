@@ -25,7 +25,6 @@ TEST(MatrixTest, FromNestedVectors) {
   EXPECT_EQ(m.cols(), 2u);
   EXPECT_DOUBLE_EQ(m.At(2, 1), 6.0);
   EXPECT_EQ(m.Row(1), (std::vector<double>{3, 4}));
-  EXPECT_EQ(m.Col(0), (std::vector<double>{1, 3, 5}));
 }
 
 TEST(MatrixTest, IdentityMultiplicationIsNeutral) {
@@ -63,14 +62,6 @@ TEST(MatrixTest, MultiplyVector) {
   const std::vector<double> v = a.MultiplyVector({1, 1});
   EXPECT_DOUBLE_EQ(v[0], 3.0);
   EXPECT_DOUBLE_EQ(v[1], 7.0);
-}
-
-TEST(MatrixTest, AddSubtractScale) {
-  Matrix a({{1, 2}, {3, 4}});
-  Matrix b({{4, 3}, {2, 1}});
-  EXPECT_DOUBLE_EQ(a.Add(b).At(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(a.Subtract(b).At(1, 1), 3.0);
-  EXPECT_DOUBLE_EQ(a.Scale(2.0).At(1, 0), 6.0);
 }
 
 TEST(MatrixTest, MultiplyIntoMatchesMultiply) {
@@ -122,14 +113,9 @@ TEST(MatrixTest, TransposedMultiplyInto) {
 
 TEST(MatrixTest, InPlaceOps) {
   Matrix a({{1, 2}, {3, 4}});
-  Matrix b({{4, 3}, {2, 1}});
-  a.AddInPlace(b);
-  EXPECT_DOUBLE_EQ(a.At(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(a.At(1, 1), 5.0);
   a.ScaleInPlace(2.0);
-  EXPECT_DOUBLE_EQ(a.At(0, 1), 10.0);
-  a.Axpy(-1.0, a);  // a += -1 * a == zero
-  EXPECT_DOUBLE_EQ(a.At(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(a.At(0, 1), 4.0);
+  EXPECT_DOUBLE_EQ(a.At(1, 0), 6.0);
 }
 
 TEST(MatrixTest, ReshapeAndFill) {
@@ -252,8 +238,7 @@ TEST(CholeskyTest, SolveRecoversSolution) {
 }
 
 // ---------------------------------------------------------------------------
-// Householder + QL production eigensolver vs. the retained Jacobi oracle,
-// and the rank-1 Cholesky row-append the incremental GP is built on.
+// Householder + QL production eigensolver vs. the retained Jacobi oracle.
 
 Matrix RandomSymmetric(size_t n, common::Rng* rng) {
   Matrix m(n, n);
@@ -265,14 +250,6 @@ Matrix RandomSymmetric(size_t n, common::Rng* rng) {
     }
   }
   return m;
-}
-
-Matrix RandomSpd(size_t n, common::Rng* rng) {
-  // B Bᵀ + n·I is comfortably positive definite.
-  const Matrix b = RandomSymmetric(n, rng);
-  Matrix spd = b.Multiply(b.Transpose());
-  for (size_t i = 0; i < n; ++i) spd.At(i, i) += static_cast<double>(n);
-  return spd;
 }
 
 // Eigenvalues must match the oracle; eigenvectors are sign-ambiguous, so
@@ -326,47 +303,6 @@ TEST(EigenTest, QlHandlesRepeatedEigenvalues) {
   Matrix scaled_identity(4, 4);
   for (size_t i = 0; i < 4; ++i) scaled_identity.At(i, i) = 2.5;
   ExpectMatchesJacobiOracle(scaled_identity);
-}
-
-TEST(CholeskyTest, AppendRowIsBitIdenticalToRefactorization) {
-  common::Rng rng(13);
-  for (const size_t n : {1u, 2u, 5u, 12u}) {
-    const Matrix full = RandomSpd(n + 1, &rng);
-    Matrix leading(n, n);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < n; ++c) leading.At(r, c) = full.At(r, c);
-    }
-    Matrix grown;
-    ASSERT_TRUE(Cholesky(leading, &grown));
-    ASSERT_TRUE(CholeskyAppendRow(full.Row(n), &grown));
-
-    Matrix refactored;
-    ASSERT_TRUE(Cholesky(full, &refactored));
-    ASSERT_EQ(grown.rows(), n + 1);
-    for (size_t r = 0; r <= n; ++r) {
-      for (size_t c = 0; c <= n; ++c) {
-        // Exact equality: the append runs the same recurrence on the same
-        // operands in the same order as the full factorization's last row.
-        EXPECT_EQ(grown.At(r, c), refactored.At(r, c))
-            << "(" << r << "," << c << ") at n=" << n;
-      }
-    }
-  }
-}
-
-TEST(CholeskyTest, AppendRowRejectsNonSpdAndLeavesFactorUntouched) {
-  Matrix a({{4, 2}, {2, 3}});
-  Matrix lower;
-  ASSERT_TRUE(Cholesky(a, &lower));
-  const Matrix before = lower;
-  // Appending a duplicate of row 0 makes the grown matrix singular.
-  EXPECT_FALSE(CholeskyAppendRow({4.0, 2.0, 4.0}, &lower));
-  ASSERT_EQ(lower.rows(), 2u);
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 2; ++c) {
-      EXPECT_EQ(lower.At(r, c), before.At(r, c));
-    }
-  }
 }
 
 }  // namespace

@@ -112,7 +112,9 @@ TEST(DdpgTest, SaveLoadRoundTripPreservesPolicy) {
   Ddpg b(SmallOptions(), &rng_b);
   const std::vector<double> state = {0.3, 0.6, 0.9};
   EXPECT_NE(a.Act(state), b.Act(state));
-  b.LoadParameters(a.SaveParameters());
+  EXPECT_FALSE(b.LoadParameters({1.0, 2.0}));
+  EXPECT_NE(a.Act(state), b.Act(state));
+  ASSERT_TRUE(b.LoadParameters(a.SaveParameters()));
   EXPECT_EQ(a.Act(state), b.Act(state));
 }
 

@@ -100,7 +100,12 @@ TEST(MlpTest, SaveLoadRoundTrip) {
   Mlp a({4, 10, 3}, Activation::kReLU, Activation::kTanh, &rng);
   Mlp b({4, 10, 3}, Activation::kReLU, Activation::kTanh, &rng);
   const std::vector<double> params = a.SaveParameters();
-  b.LoadParameters(params);
+  const std::vector<double> before = b.SaveParameters();
+  // A wrong length is rejected before any layer changes.
+  EXPECT_FALSE(b.LoadParameters({params.begin(), params.end() - 1}));
+  EXPECT_FALSE(b.LoadParameters(std::vector<double>(params.size() + 1, 0.0)));
+  EXPECT_EQ(b.SaveParameters(), before);
+  ASSERT_TRUE(b.LoadParameters(params));
   const std::vector<double> x = {0.2, 0.4, 0.6, 0.8};
   EXPECT_EQ(a.Predict(x), b.Predict(x));
   EXPECT_EQ(b.SaveParameters(), params);

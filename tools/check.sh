@@ -23,27 +23,30 @@
 #   8. a sanitizer smoke: `ctest -L concurrency` under TSan
 #   9. the whole tier-1 suite under ASan+LSan, with
 #      ASAN_OPTIONS=detect_leaks=1 so leaks fail at exit
+#  10. the whole tier-1 suite under UBSan (HUNTER_SANITIZE=undefined builds
+#      with -fno-sanitize-recover=all, so any undefined behaviour aborts
+#      its test)
 #
 # Run from anywhere: paths are resolved relative to the repo root. Build
-# trees land in build-check/, build-check-tsan/, and build-check-asan/
-# (all gitignored).
+# trees land in build-check/, build-check-tsan/, build-check-asan/ and
+# build-check-ubsan/ (all gitignored).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-echo "== [1/9] configure + build (HUNTER_WERROR=ON) =="
+echo "== [1/10] configure + build (HUNTER_WERROR=ON) =="
 cmake -B build-check -S . -DHUNTER_WERROR=ON
 cmake --build build-check -j "$JOBS"
 
-echo "== [2/9] hunterlint (baseline ratchet) =="
+echo "== [2/10] hunterlint (baseline ratchet) =="
 ./build-check/tools/hunterlint/hunterlint --root . \
     --baseline tools/hunterlint/baseline.json src tests bench examples
 
-echo "== [3/9] tier-1 tests =="
+echo "== [3/10] tier-1 tests =="
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
 
-echo "== [4/9] bench equivalence smoke =="
+echo "== [4/10] bench equivalence smoke =="
 ( cd build-check && ./bench/bench_micro_hotpaths --mode=smoke \
     --out bench_hotpaths_smoke.json )
 # The engine fast-path and SIMD bit-identity gates must actually have run:
@@ -59,14 +62,14 @@ for gate in zipf_stream_vs_seed bufferpool_replay_vs_seed \
   }
 done
 
-echo "== [5/9] forced-scalar tier-1 tests (HUNTER_FORCE_SCALAR=1) =="
+echo "== [5/10] forced-scalar tier-1 tests (HUNTER_FORCE_SCALAR=1) =="
 # Stage 3 already ran every test's force_scalar-labeled duplicate; this run
 # pins the dispatch for the remaining tests (lint, perf, examples, and the
 # unlabeled originals) so the whole suite is proven green at the scalar tier.
 HUNTER_FORCE_SCALAR=1 ctest --test-dir build-check -LE force_scalar \
     --output-on-failure -j "$JOBS"
 
-echo "== [6/9] tracecat smoke =="
+echo "== [6/10] tracecat smoke =="
 SMOKE_DIR="build-check/tracecat-smoke"
 mkdir -p "$SMOKE_DIR"
 ./build-check/examples/trace_journal "$SMOKE_DIR/seed42_a.jsonl" 42
@@ -80,7 +83,7 @@ cmp "$SMOKE_DIR/seed42_a.jsonl" "$SMOKE_DIR/seed42_b.jsonl" || {
 ./build-check/tools/tracecat/tracecat diff \
   "$SMOKE_DIR/seed42_a.jsonl" "$SMOKE_DIR/seed43.jsonl"
 
-echo "== [7/9] lint-report determinism (lintdiff) =="
+echo "== [7/10] lint-report determinism (lintdiff) =="
 LINT_DIR="build-check/lint-smoke"
 mkdir -p "$LINT_DIR"
 ./build-check/tools/hunterlint/hunterlint --root . --format=json \
@@ -100,15 +103,20 @@ if ./build-check/tools/lintdiff/lintdiff "$LINT_DIR/tree_a.json" \
   exit 1
 fi
 
-echo "== [8/9] TSan concurrency smoke =="
+echo "== [8/10] TSan concurrency smoke =="
 cmake -B build-check-tsan -S . -DHUNTER_SANITIZE=thread
 cmake --build build-check-tsan -j "$JOBS"
 ctest --test-dir build-check-tsan -L concurrency --output-on-failure -j "$JOBS"
 
-echo "== [9/9] ASan+LSan tier-1 tests =="
+echo "== [9/10] ASan+LSan tier-1 tests =="
 cmake -B build-check-asan -S . -DHUNTER_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-check-asan --output-on-failure -j "$JOBS"
+
+echo "== [10/10] UBSan tier-1 tests =="
+cmake -B build-check-ubsan -S . -DHUNTER_SANITIZE=undefined
+cmake --build build-check-ubsan -j "$JOBS"
+ctest --test-dir build-check-ubsan --output-on-failure -j "$JOBS"
 
 echo "check.sh: all gates passed"
