@@ -75,13 +75,18 @@ void BM_GpFitAndEi(benchmark::State& state) {
     for (size_t c = 0; c < 65; ++c) x.At(r, c) = rng.Uniform();
     y[r] = rng.Uniform();
   }
-  const std::vector<double> query(65, 0.5);
+  // One OtterTune proposal: 200 candidates scored in one batch.
+  linalg::Matrix candidates(200, 65);
+  for (size_t r = 0; r < 200; ++r) {
+    for (size_t c = 0; c < 65; ++c) candidates.At(r, c) = rng.Uniform();
+  }
+  std::vector<double> scores;
   for (auto _ : state) {
     ml::GaussianProcess gp;
     gp.Fit(x, y);
-    double total = 0;
-    for (int c = 0; c < 200; ++c) total += gp.ExpectedImprovement(query, 0.5);
-    benchmark::DoNotOptimize(total);
+    gp.ExpectedImprovementBatch(candidates, 0.5, &scores);
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_GpFitAndEi)->Arg(60)->Arg(120);

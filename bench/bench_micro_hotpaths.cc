@@ -943,16 +943,24 @@ void BenchGpFit(bool smoke) {
     gp.Fit(prefix_x(m), prefix_y(m));
   }
   Rng probe_rng(0xBEEF10);
+  Matrix probes(16, d);
+  for (size_t p = 0; p < probes.rows(); ++p) {
+    for (size_t c = 0; c < d; ++c) {
+      probes.At(p, c) = probe_rng.Uniform(0.0, 1.0);
+    }
+  }
+  std::vector<hunter::ml::GaussianProcess::Prediction> preds;
+  gp.PredictBatch(probes, &preds);
+  std::vector<double> scores;
+  gp.ExpectedImprovementBatch(probes, 0.5, &scores);
   double diff = 0.0;
-  for (int p = 0; p < 16; ++p) {
-    std::vector<double> probe(d);
-    for (double& v : probe) v = probe_rng.Uniform(0.0, 1.0);
+  for (size_t p = 0; p < probes.rows(); ++p) {
+    const std::vector<double> probe = probes.Row(p);
     const auto seed_pred = seed_gp.Predict(probe);
-    const auto pred = gp.Predict(probe);
-    diff = std::max(diff, std::abs(seed_pred.mean - pred.mean));
-    diff = std::max(diff, std::abs(seed_pred.variance - pred.variance));
+    diff = std::max(diff, std::abs(seed_pred.mean - preds[p].mean));
+    diff = std::max(diff, std::abs(seed_pred.variance - preds[p].variance));
     diff = std::max(diff, std::abs(seed_gp.ExpectedImprovement(probe, 0.5) -
-                                   gp.ExpectedImprovement(probe, 0.5)));
+                                   scores[p]));
   }
   RecordEquiv("gp_fit_vs_seed", diff, 1e-9);
 
@@ -978,9 +986,10 @@ void BenchGpEiBatch(bool smoke) {
   // One Propose in OtterTune/ResTune scores every candidate with EI; the
   // baseline is the seed's per-candidate Predict (two substitution passes
   // and an allocating kernel row each), the optimized path one GEMM-backed
-  // ExpectedImprovementBatch call.
+  // ExpectedImprovementBatch call. Full mode is OtterTune's shape on the
+  // 65-knob MySQL catalog.
   const size_t n = smoke ? 24 : 120;
-  const size_t d = smoke ? 8 : 48;
+  const size_t d = smoke ? 8 : 65;
   const size_t candidates = smoke ? 20 : 200;
   const int iters = smoke ? 2 : 20;
   Rng data_rng(0xBEEF11);
@@ -1381,9 +1390,9 @@ void BenchGpKernelSimd(bool smoke) {
   // The GP's vectorized kernels end to end: the gram build
   // (SquaredDistInto) inside Fit, then the GEMM-backed
   // cross-covariance and squared-distance expansion inside
-  // ExpectedImprovementBatch.
+  // ExpectedImprovementBatch, at OtterTune's full-mode shape.
   const size_t n = smoke ? 24 : 120;
-  const size_t d = smoke ? 8 : 48;
+  const size_t d = smoke ? 8 : 65;
   const size_t candidates = smoke ? 20 : 200;
   const int iters = smoke ? 2 : 20;
   Rng data_rng(0xBEEF21);

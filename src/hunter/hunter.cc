@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "cdb/metric_catalog.h"
 #include "linalg/simd/simd.h"
 
 namespace hunter::core {
@@ -156,6 +157,19 @@ bool HunterTuner::ImportModel(const HunterModel& model) {
   }
   for (const size_t knob : model.space.selected_knobs) {
     if (knob >= knobs) return false;
+  }
+  // The encoded state must be state_dim wide: the PCA projects the full
+  // metric vector onto state_dim of its components, and without PCA the
+  // metric vector is the state.
+  const OptimizedSpace& space = model.space;
+  if (space.use_pca) {
+    const size_t pca_dim = space.pca.input_dim();
+    if (pca_dim != cdb::kNumMetrics || space.state_dim < 1 ||
+        space.state_dim > pca_dim) {
+      return false;
+    }
+  } else if (space.state_dim != cdb::kNumMetrics) {
+    return false;
   }
   // The seed comes from a copy of rng_, committed only on success.
   common::Rng rng = rng_;

@@ -87,8 +87,10 @@ class HunterTuner : public tuners::Tuner {
   // the Sample Factory and Optimizer entirely and fine-tunes instead.
   // ImportModel returns false, leaving the tuner as it was, unless the
   // model fits this catalog (one base_config and knob_importance entry per
-  // knob, selected knobs in range) and its ddpg_parameters fit the network
-  // its space implies.
+  // knob, selected knobs in range), its state encoding is state_dim wide
+  // (a PCA over all cdb::kNumMetrics metrics keeping 1..input_dim
+  // components, or state_dim == kNumMetrics without PCA), and its
+  // ddpg_parameters fit the network its space implies.
   std::optional<HunterModel> ExportModel() const;
   [[nodiscard]] bool ImportModel(const HunterModel& model);
 

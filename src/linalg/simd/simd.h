@@ -1,7 +1,8 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
 // paths: the GEMM micro-kernels, the elementwise Matrix ops, the GP
-// squared-distance expansion, PCA centering/standardization, and the MLP
-// activation / gradient / Adam / soft-update loops.
+// squared-distance expansion and many-right-hand-side forward substitution,
+// PCA centering/standardization, and the MLP activation / gradient / Adam /
+// soft-update loops.
 //
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
@@ -17,8 +18,10 @@
 //     accumulator whose contraction index ascends exactly as in the scalar
 //     panel; packing eight neighboring accumulators into two YMM registers
 //     changes which elements are computed together, not how any one of them
-//     rounds. Genuine reductions (dot products, substitution sums, the
-//     Cholesky diagonal) stay scalar.
+//     rounds. Genuine reductions (dot products, the Cholesky diagonal) stay
+//     scalar. A substitution sum stays sequential per right-hand side; when
+//     there are many right-hand sides, the lanes are different right-hand
+//     sides (ForwardSubstituteLanes).
 //  2. No fused contraction. Every kernel issues a separate multiply and
 //     add (vmulpd + vaddpd), each rounding to double, exactly like the
 //     scalar expression under the tree-wide -ffp-contract=off (see the root
@@ -200,6 +203,22 @@ void SquaredDistIntoScalar(double norm_a, const double* norms_b,
 void SquaredDistIntoAvx2(double norm_a, const double* norms_b,
                          const double* dots, double* out, size_t n);
 
+// Forward substitution L W = B for m right-hand sides at once — the GP's
+// posterior variance for a whole candidate batch. `l` is the n x n
+// row-major lower-triangular factor; `bw` is n x m row-major with one
+// right-hand side per column, and goes in holding B and comes out holding
+// W. red[c] = sum over j ascending (from 0.0) of W(j,c)^2. Each element
+// follows the one-vector substitution exactly:
+//   sum = B(j,c); sum -= L(j,k) * W(k,c) for k = 0..j-1; W(j,c) = sum / L(j,j)
+// The substitution sum stays sequential per right-hand side; the lanes are
+// different right-hand sides (rule 1). The AVX2 lane keeps 16 columns in
+// four YMM accumulators and reuses each broadcast L(j,k) across them, then
+// runs a 4-wide tail and a scalar tail.
+void ForwardSubstituteLanesScalar(const double* l, size_t n, double* bw,
+                                  size_t m, double* red);
+void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
+                                size_t m, double* red);
+
 // out[i] = clamp(0.5 * (x[i] + 1.0), 0, 1) — DDPG's tanh-to-unit-range
 // action squash. Reproduces std::clamp's test order with compare+blend
 // (v < lo first, then hi < v) so every input, NaN included, takes the
@@ -287,6 +306,12 @@ inline void SquaredDistInto(double norm_a, const double* norms_b,
                             const double* dots, double* out, size_t n) {
   if (DispatchAvx2()) SquaredDistIntoAvx2(norm_a, norms_b, dots, out, n);
   else SquaredDistIntoScalar(norm_a, norms_b, dots, out, n);
+}
+
+inline void ForwardSubstituteLanes(const double* l, size_t n, double* bw,
+                                   size_t m, double* red) {
+  if (DispatchAvx2()) ForwardSubstituteLanesAvx2(l, n, bw, m, red);
+  else ForwardSubstituteLanesScalar(l, n, bw, m, red);
 }
 
 inline void ClampUnitFromTanhInto(const double* x, double* out, size_t n) {

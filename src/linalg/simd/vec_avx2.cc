@@ -209,6 +209,80 @@ void SquaredDistIntoAvx2(double norm_a, const double* norms_b,
   }
 }
 
+void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
+                                size_t m, double* red) {
+  size_t c = 0;
+  // 16 right-hand sides per pass: four independent subtract chains hide
+  // the add latency a single substitution waits on, and each L(j,k) is
+  // loaded once for all sixteen.
+  for (; c + 16 <= m; c += 16) {
+    __m256d r0 = _mm256_setzero_pd();
+    __m256d r1 = _mm256_setzero_pd();
+    __m256d r2 = _mm256_setzero_pd();
+    __m256d r3 = _mm256_setzero_pd();
+    for (size_t j = 0; j < n; ++j) {
+      const double* lj = l + j * n;
+      double* wj = bw + j * m + c;
+      __m256d s0 = _mm256_loadu_pd(wj);
+      __m256d s1 = _mm256_loadu_pd(wj + 4);
+      __m256d s2 = _mm256_loadu_pd(wj + 8);
+      __m256d s3 = _mm256_loadu_pd(wj + 12);
+      for (size_t k = 0; k < j; ++k) {
+        const __m256d ljk = _mm256_broadcast_sd(lj + k);
+        const double* wk = bw + k * m + c;
+        s0 = _mm256_sub_pd(s0, _mm256_mul_pd(ljk, _mm256_loadu_pd(wk)));
+        s1 = _mm256_sub_pd(s1, _mm256_mul_pd(ljk, _mm256_loadu_pd(wk + 4)));
+        s2 = _mm256_sub_pd(s2, _mm256_mul_pd(ljk, _mm256_loadu_pd(wk + 8)));
+        s3 = _mm256_sub_pd(s3, _mm256_mul_pd(ljk, _mm256_loadu_pd(wk + 12)));
+      }
+      const __m256d diag = _mm256_broadcast_sd(lj + j);
+      s0 = _mm256_div_pd(s0, diag);
+      s1 = _mm256_div_pd(s1, diag);
+      s2 = _mm256_div_pd(s2, diag);
+      s3 = _mm256_div_pd(s3, diag);
+      _mm256_storeu_pd(wj, s0);
+      _mm256_storeu_pd(wj + 4, s1);
+      _mm256_storeu_pd(wj + 8, s2);
+      _mm256_storeu_pd(wj + 12, s3);
+      r0 = _mm256_add_pd(r0, _mm256_mul_pd(s0, s0));
+      r1 = _mm256_add_pd(r1, _mm256_mul_pd(s1, s1));
+      r2 = _mm256_add_pd(r2, _mm256_mul_pd(s2, s2));
+      r3 = _mm256_add_pd(r3, _mm256_mul_pd(s3, s3));
+    }
+    _mm256_storeu_pd(red + c, r0);
+    _mm256_storeu_pd(red + c + 4, r1);
+    _mm256_storeu_pd(red + c + 8, r2);
+    _mm256_storeu_pd(red + c + 12, r3);
+  }
+  for (; c + 4 <= m; c += 4) {
+    __m256d r = _mm256_setzero_pd();
+    for (size_t j = 0; j < n; ++j) {
+      const double* lj = l + j * n;
+      double* wj = bw + j * m + c;
+      __m256d s = _mm256_loadu_pd(wj);
+      for (size_t k = 0; k < j; ++k) {
+        s = _mm256_sub_pd(s, _mm256_mul_pd(_mm256_broadcast_sd(lj + k),
+                                           _mm256_loadu_pd(bw + k * m + c)));
+      }
+      s = _mm256_div_pd(s, _mm256_broadcast_sd(lj + j));
+      _mm256_storeu_pd(wj, s);
+      r = _mm256_add_pd(r, _mm256_mul_pd(s, s));
+    }
+    _mm256_storeu_pd(red + c, r);
+  }
+  for (; c < m; ++c) {
+    double r = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      double sum = bw[j * m + c];
+      for (size_t k = 0; k < j; ++k) sum -= l[j * n + k] * bw[k * m + c];
+      sum /= l[j * n + j];
+      bw[j * m + c] = sum;
+      r += sum * sum;
+    }
+    red[c] = r;
+  }
+}
+
 void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
   const __m256d half = _mm256_set1_pd(0.5);
   const __m256d one = _mm256_set1_pd(1.0);
@@ -302,6 +376,10 @@ void StandardizeIntoAvx2(const double* x, const double* means,
 void SquaredDistIntoAvx2(double norm_a, const double* norms_b,
                          const double* dots, double* out, size_t n) {
   SquaredDistIntoScalar(norm_a, norms_b, dots, out, n);
+}
+void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
+                                size_t m, double* red) {
+  ForwardSubstituteLanesScalar(l, n, bw, m, red);
 }
 void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
   ClampUnitFromTanhIntoScalar(x, out, n);

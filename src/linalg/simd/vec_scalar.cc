@@ -90,6 +90,29 @@ void SquaredDistIntoScalar(double norm_a, const double* norms_b,
   }
 }
 
+void ForwardSubstituteLanesScalar(const double* l, size_t n, double* bw,
+                                  size_t m, double* red) {
+  // Row by row across all right-hand sides, so consecutive operations are
+  // independent. The sums of squares then run per column into a register
+  // accumulator, as the one-vector loop and the AVX2 lanes add them: that
+  // operand order decides which NaN survives when two different ones meet.
+  for (size_t j = 0; j < n; ++j) {
+    double* wj = bw + j * m;
+    for (size_t k = 0; k < j; ++k) {
+      const double ljk = l[j * n + k];
+      const double* wk = bw + k * m;
+      for (size_t c = 0; c < m; ++c) wj[c] -= ljk * wk[c];
+    }
+    const double diag = l[j * n + j];
+    for (size_t c = 0; c < m; ++c) wj[c] /= diag;
+  }
+  for (size_t c = 0; c < m; ++c) {
+    double sum = 0.0;
+    for (size_t j = 0; j < n; ++j) sum += bw[j * m + c] * bw[j * m + c];
+    red[c] = sum;
+  }
+}
+
 void ClampUnitFromTanhIntoScalar(const double* x, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const double v = 0.5 * (x[i] + 1.0);

@@ -37,22 +37,11 @@ double DotAscending(const double* a, const double* b, size_t n) {
 
 }  // namespace
 
-double GaussianProcess::Kernel(linalg::RowSpan a, linalg::RowSpan b) const {
-  double sq = 0.0;
-  for (size_t i = 0; i < a.size; ++i) {
-    const double d = a[i] - b[i];
-    sq += d * d;
-  }
-  const double ls = options_.length_scale * options_.length_scale;
-  return options_.signal_variance * std::exp(-0.5 * sq / ls);
-}
-
 bool GaussianProcess::Fit(const linalg::Matrix& x,
                           const std::vector<double>& y) {
   assert(x.rows() == y.size());
   const size_t n = x.rows();
   train_x_ = x;
-  train_xt_ = x.Transpose();
 
   // Gram matrix G = X Xᵀ in one GEMM, then K(i,j) from the squared-distance
   // expansion. The row norms are read off G's diagonal so the expansion
@@ -60,9 +49,9 @@ bool GaussianProcess::Fit(const linalg::Matrix& x,
   // PredictBatch reuses them for the cross-kernel.
   linalg::Matrix gram(n, n);
   if (n > 0) {
-    linalg::GemmTransposedAInto(train_xt_.Data(), x.cols(), n,
-                                train_xt_.Data(), n, /*accumulate=*/false,
-                                gram.Data());
+    const linalg::Matrix xt = x.Transpose();
+    linalg::GemmTransposedAInto(xt.Data(), x.cols(), n, xt.Data(), n,
+                                /*accumulate=*/false, gram.Data());
   }
   row_norms_.resize(n);
   for (size_t i = 0; i < n; ++i) row_norms_[i] = gram.At(i, i);
@@ -99,36 +88,6 @@ bool GaussianProcess::Fit(const linalg::Matrix& x,
   return true;
 }
 
-GaussianProcess::Prediction GaussianProcess::Predict(
-    const std::vector<double>& x) const {
-  Prediction prediction;
-  if (!fitted_) {
-    prediction.variance = options_.signal_variance;
-    return prediction;
-  }
-  const size_t n = train_x_.rows();
-  const linalg::RowSpan q{x.data(), x.size()};
-  std::vector<double> k_star(n);
-  for (size_t i = 0; i < n; ++i) k_star[i] = Kernel(q, train_x_.RowView(i));
-
-  double mean = y_mean_;
-  for (size_t i = 0; i < n; ++i) mean += k_star[i] * alpha_[i];
-  prediction.mean = mean;
-
-  // variance = k(x,x) - k_star^T (K + noise)^{-1} k_star.
-  const std::vector<double> v = linalg::CholeskySolve(chol_, k_star);
-  double reduction = 0.0;
-  for (size_t i = 0; i < n; ++i) reduction += k_star[i] * v[i];
-  prediction.variance = std::max(0.0, Kernel(q, q) - reduction);
-  return prediction;
-}
-
-double GaussianProcess::ExpectedImprovement(const std::vector<double>& x,
-                                            double best_so_far) const {
-  const Prediction p = Predict(x);
-  return ExpectedImprovementFrom(p.mean, p.variance, best_so_far);
-}
-
 // hunterlint: hot
 void GaussianProcess::PredictBatch(const linalg::Matrix& x,
                                    std::vector<Prediction>* out) const {
@@ -142,46 +101,50 @@ void GaussianProcess::PredictBatch(const linalg::Matrix& x,
   const size_t d = train_x_.cols();
   assert(x.cols() == d);
 
-  // Cross-kernel in one GEMM: C = Xq Xᵀ (m x n), then per-query k* rows via
-  // the same expansion the training kernel uses.
-  cross_.Reshape(m, n);
+  // Candidates are the lanes: the cross-kernel is built transposed,
+  // K*ᵀ = X Xqᵀ (n x m, one row per training point), in one GEMM over a
+  // reused transpose of the candidates. Each element is the same d-ascending
+  // sum of the same products as in Xq Xᵀ.
+  query_t_.Reshape(d, m);
+  for (size_t c = 0; c < m; ++c) {
+    for (size_t k = 0; k < d; ++k) query_t_.At(k, c) = x.At(c, k);
+  }
+  cross_.Reshape(n, m);
   if (m > 0 && n > 0) {
-    linalg::GemmInto(x.Data(), m, d, train_xt_.Data(), n,
+    linalg::GemmInto(train_x_.Data(), n, d, query_t_.Data(), m,
                      /*accumulate=*/false, cross_.Data());
   }
   query_norms_.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    const linalg::RowSpan q = x.RowView(i);
-    query_norms_[i] = DotAscending(q.data, q.data, d);
+  for (size_t c = 0; c < m; ++c) {
+    const linalg::RowSpan q = x.RowView(c);
+    query_norms_[c] = DotAscending(q.data, q.data, d);
   }
 
-  k_star_.resize(n);
-  forward_.resize(n);
+  // Per training row j, across all candidates: the vectorized squared-
+  // distance expansion in place, then the scalar exp (libm, not
+  // reproducibly vectorizable) and each candidate's mean term, j ascending.
+  for (auto& p : *out) p.mean = y_mean_;
   const double ls = options_.length_scale * options_.length_scale;
-  for (size_t i = 0; i < m; ++i) {
-    // Vectorized squared-distance expansion into k_star_, finished in place
-    // by the scalar exp (libm, not reproducibly vectorizable) fused with
-    // the ascending mean accumulation.
-    linalg::simd::SquaredDistInto(query_norms_[i], row_norms_.data(),
-                                  cross_.Data() + i * n, k_star_.data(), n);
-    double mean = y_mean_;
-    for (size_t j = 0; j < n; ++j) {
-      k_star_[j] = options_.signal_variance * std::exp(-0.5 * k_star_[j] / ls);
-      mean += k_star_[j] * alpha_[j];
+  for (size_t j = 0; j < n; ++j) {
+    double* k_row = cross_.Data() + j * m;
+    linalg::simd::SquaredDistInto(row_norms_[j], query_norms_.data(), k_row,
+                                  k_row, m);
+    const double alpha_j = alpha_[j];
+    for (size_t c = 0; c < m; ++c) {
+      k_row[c] = options_.signal_variance * std::exp(-0.5 * k_row[c] / ls);
+      (*out)[c].mean += k_row[c] * alpha_j;
     }
-    // Forward substitution only: with w = L^{-1} k*, the quadratic form
-    // k*ᵀ (L Lᵀ)^{-1} k* is exactly wᵀw — the back substitution the scalar
-    // path performs just re-derives it through Lᵀ.
-    double reduction = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      double sum = k_star_[j];
-      for (size_t k = 0; k < j; ++k) sum -= chol_.At(j, k) * forward_[k];
-      forward_[j] = sum / chol_.At(j, j);
-      reduction += forward_[j] * forward_[j];
-    }
-    // k(x,x) via the expansion is exactly signal_variance (zero distance).
-    (*out)[i].mean = mean;
-    (*out)[i].variance = std::max(0.0, options_.signal_variance - reduction);
+  }
+
+  // Forward substitution only, all candidates at once: with W = L⁻¹K*ᵀ the
+  // quadratic form k*ᵀ (L Lᵀ)⁻¹ k* is exactly ‖w‖², so no back substitution
+  // is needed. k(x,x) via the expansion is exactly signal_variance.
+  reduction_.resize(m);
+  linalg::simd::ForwardSubstituteLanes(chol_.Data(), n, cross_.Data(), m,
+                                       reduction_.data());
+  for (size_t c = 0; c < m; ++c) {
+    (*out)[c].variance =
+        std::max(0.0, options_.signal_variance - reduction_[c]);
   }
 }
 

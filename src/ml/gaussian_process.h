@@ -10,12 +10,18 @@
 //  * The kernel matrix is built from the squared-distance expansion
 //    ‖a − b‖² = ‖a‖² + ‖b‖² − 2 aᵀb with the Gram matrix computed by one
 //    GemmTransposedAInto call, instead of an allocating per-row double loop.
-//  * PredictBatch / ExpectedImprovementBatch score a whole candidate matrix
-//    in one GEMM-backed pass over reused scratch arenas, with the posterior
-//    variance taken from the forward substitution alone
-//    (σ² = k(x,x) − ‖L⁻¹k*‖², the identity the two-pass solve computes the
-//    long way). Batch results match the per-candidate path to 1e-9
-//    (asserted in bench_micro_hotpaths before any timing is trusted).
+//  * PredictBatch / ExpectedImprovementBatch are the only prediction path.
+//    They score a whole candidate matrix over reused scratch arenas with the
+//    candidates as lanes: the cross-kernel is built transposed (n x m, one
+//    row per training point, one column per candidate) by one GEMM, and one
+//    linalg::simd::ForwardSubstituteLanes call solves L W = K*ᵀ for every
+//    candidate at once. The posterior variance comes from the forward
+//    substitution alone (σ² = k(x,x) − ‖L⁻¹k*‖², the identity the two-pass
+//    solve computes the long way). Each candidate's operations and their
+//    order are those of a one-candidate substitution, so the outputs are
+//    the same bits at both SIMD tiers; GpTest.BatchOutputsMatchGoldenDigest
+//    pins them, and bench_micro_hotpaths checks them against an
+//    independent formula (ref::SeedGp) to 1e-9.
 
 #ifndef HUNTER_ML_GAUSSIAN_PROCESS_H_
 #define HUNTER_ML_GAUSSIAN_PROCESS_H_
@@ -49,15 +55,11 @@ class GaussianProcess {
     double mean = 0.0;
     double variance = 0.0;
   };
-  Prediction Predict(const std::vector<double>& x) const;
 
-  // Expected improvement over `best_so_far` (maximization convention).
-  double ExpectedImprovement(const std::vector<double>& x,
-                             double best_so_far) const;
-
-  // Batch versions: one row of `x` per query point, scored in a single
-  // GEMM-backed pass over reused scratch (not thread-safe, like the rest of
-  // the class). `out` is resized to x.rows().
+  // One row of `x` per query point, scored in a single GEMM-backed pass over
+  // reused scratch (not thread-safe, like the rest of the class). `out` is
+  // resized to x.rows(). Expected improvement is over `best_so_far`
+  // (maximization convention).
   void PredictBatch(const linalg::Matrix& x,
                     std::vector<Prediction>* out) const;
   void ExpectedImprovementBatch(const linalg::Matrix& x, double best_so_far,
@@ -66,22 +68,19 @@ class GaussianProcess {
   const GpOptions& options() const { return options_; }
 
  private:
-  double Kernel(linalg::RowSpan a, linalg::RowSpan b) const;
-
   GpOptions options_;
   bool fitted_ = false;
   linalg::Matrix train_x_;         // n x d
-  linalg::Matrix train_xt_;        // d x n, for the batch cross-kernel GEMM
   std::vector<double> row_norms_;  // ‖x_i‖², bit-matching the Gram diagonal
   double y_mean_ = 0.0;
   linalg::Matrix chol_;            // Cholesky factor of K + noise I
   std::vector<double> alpha_;      // (K + noise I)^-1 (y - mean)
 
   // Scratch arenas for the batch paths (allocation-free in steady state).
-  mutable linalg::Matrix cross_;           // m x n cross-kernel
+  mutable linalg::Matrix query_t_;  // d x m, the candidates transposed
+  mutable linalg::Matrix cross_;    // n x m: K*ᵀ, then W = L⁻¹K*ᵀ in place
   mutable std::vector<double> query_norms_;
-  mutable std::vector<double> k_star_;     // per-query kernel row
-  mutable std::vector<double> forward_;    // L^{-1} k* per query
+  mutable std::vector<double> reduction_;  // ‖w‖² per candidate
   mutable std::vector<Prediction> batch_predictions_;
 };
 

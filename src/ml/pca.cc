@@ -111,7 +111,16 @@ std::vector<double> Pca::SaveState() const {
 
 bool Pca::LoadState(const std::vector<double>& state) {
   if (state.size() < 2) return false;
-  const size_t dim = static_cast<size_t>(state[0]);
+  // The dimension must be a whole number >= 1 before it is cast. dim² can
+  // not exceed the buffer, which also keeps 2 + 3·dim + dim² far from
+  // overflowing size_t.
+  const double raw_dim = state[0];
+  if (!std::isfinite(raw_dim) || raw_dim < 1.0 ||
+      raw_dim != std::floor(raw_dim) ||
+      raw_dim > std::sqrt(static_cast<double>(state.size()))) {
+    return false;
+  }
+  const size_t dim = static_cast<size_t>(raw_dim);
   if (state.size() != 2 + 3 * dim + dim * dim) return false;
   standardize_ = state[1] != 0.0;
   size_t offset = 2;
@@ -128,7 +137,7 @@ bool Pca::LoadState(const std::vector<double>& state) {
   for (size_t r = 0; r < dim; ++r) {
     for (size_t c = 0; c < dim; ++c) components_.At(r, c) = state[offset++];
   }
-  fitted_ = dim > 0;
+  fitted_ = true;
   return true;
 }
 

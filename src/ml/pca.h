@@ -44,7 +44,9 @@ class Pca {
   // Flat serialization of the fitted transform (for model persistence):
   // [dim, standardize, means..., stds..., ratios..., components(row-major)].
   std::vector<double> SaveState() const;
-  // Restores a fitted transform; returns false on a malformed buffer.
+  // Restores a fitted transform; returns false, leaving the transform as it
+  // was, on a malformed buffer: a dimension that is not a whole number >= 1
+  // or a length other than 2 + 3·dim + dim².
   bool LoadState(const std::vector<double>& state);
 
  private:

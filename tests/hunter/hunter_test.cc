@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cdb/knob_catalog.h"
+#include "cdb/metric_catalog.h"
 #include "controller/controller.h"
 #include "hunter/recommender.h"
 #include "workload/workloads.h"
@@ -197,9 +198,22 @@ TEST_F(HunterTest, ImportModelRejectsModelsThatDoNotFit) {
   short_base.base_config.pop_back();
   HunterModel knob_out_of_range = *model;
   knob_out_of_range.space.selected_knobs.back() = catalog_.size();
+  // State encodings that are not state_dim wide. Imported, the first wrote
+  // the full metric vector into state_dim-sized arrays, and the second read
+  // past its 2-wide PCA means while projecting the metric vector.
+  ASSERT_TRUE(model->space.use_pca);
+  ASSERT_NE(model->space.state_dim, cdb::kNumMetrics);
+  HunterModel pca_dropped = *model;
+  pca_dropped.space.use_pca = false;
+  HunterModel narrow_pca = *model;
+  ASSERT_TRUE(narrow_pca.space.pca.LoadState(
+      {2, 1, 0.5, 0.5, 1.0, 1.0, 0.75, 0.25, 1.0, 0.0, 0.0, 1.0}));
+  HunterModel state_wider_than_pca = *model;
+  state_wider_than_pca.space.state_dim = cdb::kNumMetrics + 1;
   HunterTuner student(&catalog_, Rules(), FastOptions(), 14);
   for (const HunterModel* bad :
-       {&too_short, &too_long, &short_base, &knob_out_of_range}) {
+       {&too_short, &too_long, &short_base, &knob_out_of_range, &pca_dropped,
+        &narrow_pca, &state_wider_than_pca}) {
     EXPECT_FALSE(student.ImportModel(*bad));
     EXPECT_EQ(student.phase(), HunterTuner::Phase::kSampleFactory);
     EXPECT_EQ(student.recommender(), nullptr);

@@ -298,6 +298,97 @@ TEST(SimdGemmTest, GemmTransposedAIntoBitIdentical) {
   }
 }
 
+// A well-conditioned n x n lower-triangular factor, as the GP passes: the
+// Cholesky factor of MᵀM + n·I for a random M.
+Matrix RandomCholeskyFactor(size_t n, Rng* rng) {
+  Matrix mat(n, n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < n; ++c) mat.At(r, c) = rng->Uniform(-1.0, 1.0);
+  }
+  Matrix spd = mat.Transpose().Multiply(mat);
+  for (size_t i = 0; i < n; ++i) spd.At(i, i) += static_cast<double>(n);
+  Matrix lower;
+  EXPECT_TRUE(Cholesky(spd, &lower));
+  return lower;
+}
+
+// The one-vector forward substitution each lane must reproduce: column c
+// of `b` solved on its own, written into `w` (n x m) and `red`.
+void ForwardSubstituteOneByOne(const Matrix& l, const std::vector<double>& b,
+                               size_t m, std::vector<double>* w,
+                               std::vector<double>* red) {
+  const size_t n = l.rows();
+  w->assign(n * m, 0.0);
+  red->assign(m, 0.0);
+  std::vector<double> column(n);
+  for (size_t c = 0; c < m; ++c) {
+    double reduction = 0.0;
+    for (size_t j = 0; j < n; ++j) {
+      double sum = b[j * m + c];
+      for (size_t k = 0; k < j; ++k) sum -= l.At(j, k) * column[k];
+      column[j] = sum / l.At(j, j);
+      reduction += column[j] * column[j];
+      (*w)[j * m + c] = column[j];
+    }
+    (*red)[c] = reduction;
+  }
+}
+
+// Runs both tiers on copies of `b` (red pre-filled with NaN, which the
+// kernel must overwrite) and requires the same bits as the one-vector
+// substitution: `bw` goes in as B and comes out as W.
+void ExpectLanesMatchOneByOne(const Matrix& l, const std::vector<double>& b,
+                              size_t m) {
+  const size_t n = l.rows();
+  std::vector<double> w_ref, red_ref;
+  ForwardSubstituteOneByOne(l, b, m, &w_ref, &red_ref);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> w_scalar = b, red_scalar(m, nan);
+  ForwardSubstituteLanesScalar(l.Data(), n, w_scalar.data(), m,
+                               red_scalar.data());
+  std::vector<double> w_avx2 = b, red_avx2(m, nan);
+  ForwardSubstituteLanesAvx2(l.Data(), n, w_avx2.data(), m, red_avx2.data());
+  ExpectBitsEqual(w_scalar, w_ref);
+  ExpectBitsEqual(red_scalar, red_ref);
+  ExpectBitsEqual(w_avx2, w_scalar);
+  ExpectBitsEqual(red_avx2, red_scalar);
+}
+
+TEST(SimdSolveTest, ForwardSubstituteLanesBitIdentical) {
+  // Every m from 0 to 35 covers the 16-lane panel, the 4-wide tail and the
+  // scalar tail in every combination; n = 0 leaves B untouched and red 0.
+  Rng rng(0x51D00C);
+  for (const size_t n : {0, 1, 2, 5, 33}) {
+    const Matrix l = RandomCholeskyFactor(n, &rng);
+    for (size_t m = 0; m <= 35; ++m) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " m=" << m);
+      ExpectLanesMatchOneByOne(l, RandomVec(n * m, &rng), m);
+    }
+  }
+}
+
+TEST(SimdSolveTest, ForwardSubstituteLanesSpecialValuesBitIdentical) {
+  // Non-finite and tiny right-hand sides propagate through later rows of
+  // their own column only; NaN signs and payloads must match per lane.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double den = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> specials = {nan, -nan, inf, -inf, 0.0,
+                                        -0.0, den, -den, 1e-310, -1e300};
+  Rng rng(0x51D00D);
+  for (const size_t n : {1, 2, 5, 33}) {
+    const Matrix l = RandomCholeskyFactor(n, &rng);
+    for (const size_t m : {1, 3, 4, 7, 16, 21, 35}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " m=" << m);
+      std::vector<double> b = RandomVec(n * m, &rng);
+      for (size_t i = 0; i < b.size(); i += 3) {
+        b[i] = specials[(i / 3) % specials.size()];
+      }
+      ExpectLanesMatchOneByOne(l, b, m);
+    }
+  }
+}
+
 // The dispatched entry points honor the testing override: a forced-scalar
 // pass and a hardware-tier pass through Matrix::MultiplyInto must agree to
 // the bit (and the override must clamp/restore cleanly).

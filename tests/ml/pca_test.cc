@@ -1,6 +1,8 @@
 #include "ml/pca.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +70,39 @@ TEST(PcaTest, CumulativeRatioMonotone) {
   const auto cdf = pca.CumulativeVarianceRatio();
   for (size_t i = 1; i < cdf.size(); ++i) EXPECT_GE(cdf[i], cdf[i - 1]);
   EXPECT_NEAR(cdf.back(), 1.0, 1e-9);
+}
+
+TEST(PcaTest, LoadStateRejectsMalformedDimension) {
+  common::Rng rng(6);
+  Pca fitted;
+  fitted.Fit(LatentMixture(50, 3, 2, 0.1, &rng));
+  const std::vector<double> good = fitted.SaveState();
+  ASSERT_EQ(good.size(), 2u + 3u * 3u + 3u * 3u);
+
+  Pca restored;
+  ASSERT_TRUE(restored.LoadState(good));
+  EXPECT_EQ(restored.input_dim(), 3u);
+  EXPECT_EQ(restored.SaveState(), good);
+
+  // Each buffer is sized for the dimension its state[0] truncates to, so
+  // only the dimension check can reject it.
+  auto with_dim = [](double dim, size_t as_dim) {
+    std::vector<double> state(2 + 3 * as_dim + as_dim * as_dim, 0.5);
+    state[0] = dim;
+    return state;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& bad :
+       {with_dim(1.5, 1), with_dim(2.999, 2), with_dim(0.0, 0),
+        with_dim(0.5, 0), with_dim(-1.0, 0), with_dim(nan, 0),
+        with_dim(inf, 0), with_dim(-inf, 0), with_dim(1e300, 0),
+        with_dim(18446744073709547520.0, 0),  // 2^64 - 4096
+        std::vector<double>{3.0}}) {
+    Pca pca = restored;
+    EXPECT_FALSE(pca.LoadState(bad)) << "state[0] = " << bad[0];
+    EXPECT_EQ(pca.SaveState(), good);  // left as it was
+  }
 }
 
 TEST(PcaTest, TransformReducesDimension) {
