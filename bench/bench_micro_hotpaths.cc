@@ -1,15 +1,16 @@
-// Perf-regression harness for the batched ML hot paths (ROADMAP: "make a
-// hot path measurably faster") and the engine-evaluation fast path. For
-// each hot path it times the seed implementation (replicated below as the
-// `ref` baselines, in tests/cdb/seed_engine_ref.h for the engine, or
-// reached via DdpgOptions::batched_training = false) against the rewrite,
-// asserts the two agree (ML paths to 1e-9; the engine fast path — flat
+// Perf-regression harness for the ML hot paths (GEMM, random forest, GP,
+// PCA) and the engine-evaluation fast path. For each hot path it times an
+// independent seed implementation (the `ref` baselines below, or
+// tests/cdb/seed_engine_ref.h for the engine) against the rewrite, asserts
+// the two agree (ML paths within 1e-12 to 1e-8; the engine fast path — flat
 // intrusive LRU, cached Zipf samplers, bit-exact early-exit fixed point —
 // bit for bit at tolerance 0.0), and writes machine-readable
 // BENCH_hotpaths.json. The *_simd benchmarks additionally time the
 // dispatched vector kernels (linalg/simd/) against the scalar tier of the
 // same entry points and gate bit identity at tolerance 0.0; every record
-// names the ISA tier it dispatched at ("scalar" / "avx2+fma").
+// names the ISA tier it dispatched at ("scalar" / "avx2+fma"). DDPG/MLP
+// training has no row here: its one path is pinned by golden digests in
+// tests/ml/ and timed end to end by bench/e2e (hunter.recommend_s).
 //
 // Usage: bench_micro_hotpaths [--smoke | --mode=smoke|full] [--out PATH]
 //   --smoke  tiny sizes, few iterations — run by ctest under the `perf`
@@ -56,12 +57,10 @@
 #include "linalg/matrix.h"
 #include "linalg/simd/simd.h"
 #include "ml/cart.h"
-#include "ml/ddpg.h"
 #include "ml/gaussian_process.h"
 #include "ml/mlp.h"
 #include "ml/pca.h"
 #include "ml/random_forest.h"
-#include "ml/replay_buffer.h"
 #include "tests/cdb/seed_engine_ref.h"
 #include "workload/workloads.h"
 
@@ -487,125 +486,6 @@ class SeedGp {
   std::vector<double> alpha_;
 };
 
-// The seed Ddpg::TrainStep, reconstructed from public pieces (Mlp's
-// per-sample Forward/Backward, ReplayBuffer::SampleBatch): every minibatch
-// deep-copies its transitions out of the buffer and every sample pays the
-// Concat/TanhToUnit vector temporaries. Construction forks the RNG exactly
-// like ml::Ddpg, so from the same seed it draws identical minibatches and
-// its per-step losses must match the rewritten paths bit for bit (asserted
-// in BenchDdpg) — evidence the baseline runs the same computation rather
-// than a strawman.
-class SeedDdpg {
- public:
-  SeedDdpg(const hunter::ml::DdpgOptions& options, Rng* rng)
-      : options_(options),
-        rng_(rng->Fork()),
-        buffer_(options.replay_capacity) {
-    Rng init_rng = rng_.Fork();
-    actor_ = hunter::ml::Mlp(
-        BuildSizes(options.state_dim, options.actor_hidden,
-                   options.action_dim),
-        hunter::ml::Activation::kReLU, hunter::ml::Activation::kTanh,
-        &init_rng);
-    critic_ = hunter::ml::Mlp(
-        BuildSizes(options.state_dim + options.action_dim,
-                   options.critic_hidden, 1),
-        hunter::ml::Activation::kReLU, hunter::ml::Activation::kLinear,
-        &init_rng);
-    target_actor_ = actor_;
-    target_critic_ = critic_;
-  }
-
-  void AddTransition(hunter::ml::Transition transition) {
-    buffer_.Add(std::move(transition));
-  }
-
-  double TrainStep() {
-    if (buffer_.empty()) return 0.0;
-    const std::vector<hunter::ml::Transition> batch =
-        buffer_.SampleBatch(options_.batch_size, &rng_);
-
-    double total_loss = 0.0;
-    critic_.ZeroGradients();
-    for (const hunter::ml::Transition& t : batch) {
-      double target = t.reward;
-      if (!t.terminal) {
-        const std::vector<double> next_action =
-            TanhToUnit(target_actor_.Predict(t.next_state));
-        const std::vector<double> next_q =
-            target_critic_.Predict(Concat(t.next_state, next_action));
-        target += options_.gamma * next_q[0];
-      }
-      const std::vector<double> q =
-          critic_.Forward(Concat(t.state, t.action));
-      const double error = q[0] - target;
-      total_loss += error * error;
-      critic_.Backward({2.0 * error});
-    }
-    critic_.AdamStep(options_.critic_lr, batch.size());
-
-    actor_.ZeroGradients();
-    for (const hunter::ml::Transition& t : batch) {
-      const std::vector<double> tanh_action = actor_.Forward(t.state);
-      const std::vector<double> unit_action = TanhToUnit(tanh_action);
-      critic_.Forward(Concat(t.state, unit_action));
-      const std::vector<double> grad_input = critic_.Backward({-1.0});
-      std::vector<double> grad_action(options_.action_dim);
-      for (size_t i = 0; i < options_.action_dim; ++i) {
-        grad_action[i] = 0.5 * grad_input[options_.state_dim + i];
-        if (options_.grad_clip > 0.0) {
-          grad_action[i] = std::clamp(grad_action[i], -options_.grad_clip,
-                                      options_.grad_clip);
-        }
-      }
-      actor_.Backward(grad_action);
-    }
-    critic_.ZeroGradients();
-    actor_.AdamStep(options_.actor_lr, batch.size());
-
-    target_actor_.SoftUpdateFrom(actor_, options_.tau);
-    target_critic_.SoftUpdateFrom(critic_, options_.tau);
-
-    return total_loss / static_cast<double>(batch.size());
-  }
-
- private:
-  static std::vector<size_t> BuildSizes(size_t in,
-                                        const std::vector<size_t>& hidden,
-                                        size_t out) {
-    std::vector<size_t> sizes;
-    sizes.push_back(in);
-    sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-    sizes.push_back(out);
-    return sizes;
-  }
-
-  static std::vector<double> Concat(const std::vector<double>& a,
-                                    const std::vector<double>& b) {
-    std::vector<double> merged;
-    merged.reserve(a.size() + b.size());
-    merged.insert(merged.end(), a.begin(), a.end());
-    merged.insert(merged.end(), b.begin(), b.end());
-    return merged;
-  }
-
-  static std::vector<double> TanhToUnit(const std::vector<double>& tanh_out) {
-    std::vector<double> unit(tanh_out.size());
-    for (size_t i = 0; i < tanh_out.size(); ++i) {
-      unit[i] = std::clamp(0.5 * (tanh_out[i] + 1.0), 0.0, 1.0);
-    }
-    return unit;
-  }
-
-  hunter::ml::DdpgOptions options_;
-  Rng rng_;
-  hunter::ml::Mlp actor_;
-  hunter::ml::Mlp critic_;
-  hunter::ml::Mlp target_actor_;
-  hunter::ml::Mlp target_critic_;
-  hunter::ml::ReplayBuffer buffer_;
-};
-
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
@@ -673,151 +553,6 @@ void BenchGemm(bool smoke) {
   RecordBench("gemm", std::to_string(n) + "x" + std::to_string(n) + "x" +
                           std::to_string(n),
               baseline_ms, optimized_ms);
-}
-
-void BenchMlpStep(bool smoke) {
-  const size_t batch = 32;
-  const std::vector<size_t> sizes = {63, 64, 64, 20};
-  const int iters = smoke ? 3 : 200;
-  Rng rng(0xBEEF02);
-  hunter::ml::Mlp scalar_net(sizes, hunter::ml::Activation::kReLU,
-                             hunter::ml::Activation::kTanh, &rng);
-  hunter::ml::Mlp batch_net = scalar_net;
-
-  const Matrix input = RandomMatrix(batch, sizes.front(), &rng);
-  const Matrix grad = RandomMatrix(batch, sizes.back(), &rng);
-
-  // Equivalence: one forward+backward over the batch, both paths, starting
-  // from identical parameters; compare outputs and accumulated gradients
-  // (read back through AdamStep-updated parameters).
-  std::vector<std::vector<double>> scalar_out(batch);
-  scalar_net.ZeroGradients();
-  for (size_t r = 0; r < batch; ++r) {
-    scalar_out[r] = scalar_net.Forward(input.Row(r));
-    scalar_net.Backward(grad.Row(r));
-  }
-  scalar_net.AdamStep(1e-3, batch);
-
-  Matrix batch_out;
-  batch_net.ZeroGradients();
-  batch_net.ForwardBatch(input, &batch_out);
-  batch_net.BackwardBatch(grad, nullptr);
-  batch_net.AdamStep(1e-3, batch);
-
-  double out_diff = 0.0;
-  for (size_t r = 0; r < batch; ++r) {
-    for (size_t c = 0; c < sizes.back(); ++c) {
-      out_diff =
-          std::max(out_diff, std::abs(scalar_out[r][c] - batch_out.At(r, c)));
-    }
-  }
-  RecordEquiv("mlp_forward_batch_vs_scalar", out_diff, 1e-9);
-  RecordEquiv("mlp_params_after_step",
-              MaxAbsDiff(scalar_net.SaveParameters(),
-                         batch_net.SaveParameters()),
-              1e-9);
-
-  const double baseline_ms = TimeMs(
-      [&] {
-        for (size_t r = 0; r < batch; ++r) {
-          scalar_net.Forward(input.Row(r));
-          scalar_net.Backward(grad.Row(r));
-        }
-        scalar_net.AdamStep(1e-3, batch);
-      },
-      iters);
-  const double optimized_ms = TimeMs(
-      [&] {
-        batch_net.ForwardBatch(input, &batch_out);
-        batch_net.BackwardBatch(grad, nullptr);
-        batch_net.AdamStep(1e-3, batch);
-      },
-      iters);
-  RecordBench("mlp_step", "net {63,64,64,20} batch 32", baseline_ms,
-              optimized_ms);
-}
-
-hunter::ml::DdpgOptions MakeDdpgOptions(bool batched) {
-  hunter::ml::DdpgOptions options;
-  options.state_dim = 63;
-  options.action_dim = 20;
-  options.actor_hidden = {64, 64};
-  options.critic_hidden = {64, 64};
-  options.batch_size = 32;
-  options.batched_training = batched;
-  return options;
-}
-
-hunter::ml::Ddpg MakeAgent(bool batched, uint64_t seed) {
-  Rng rng(seed);
-  return hunter::ml::Ddpg(MakeDdpgOptions(batched), &rng);
-}
-
-template <typename AgentT>
-void PrefillAgent(AgentT* agent, size_t count, uint64_t seed) {
-  Rng rng(seed);
-  for (size_t i = 0; i < count; ++i) {
-    hunter::ml::Transition t;
-    t.state.resize(63);
-    t.next_state.resize(63);
-    t.action.resize(20);
-    for (double& v : t.state) v = rng.Uniform(-1.0, 1.0);
-    for (double& v : t.next_state) v = rng.Uniform(-1.0, 1.0);
-    for (double& v : t.action) v = rng.Uniform(0.0, 1.0);
-    t.reward = rng.Uniform(-1.0, 1.0);
-    t.terminal = rng.Bernoulli(0.05);
-    agent->AddTransition(std::move(t));
-  }
-}
-
-void BenchDdpg(bool smoke) {
-  const int equiv_steps = smoke ? 5 : 30;
-  const int iters = smoke ? 3 : 100;
-
-  // Equivalence: three agents from the same seed — the seed replica, the
-  // in-tree per-sample path, and the batched path; per-step losses and the
-  // final policy must agree across all of them.
-  Rng seed_rng(0xBEEF03);
-  ref::SeedDdpg seed_agent(MakeDdpgOptions(/*batched=*/false), &seed_rng);
-  hunter::ml::Ddpg scalar_agent = MakeAgent(/*batched=*/false, 0xBEEF03);
-  hunter::ml::Ddpg batched_agent = MakeAgent(/*batched=*/true, 0xBEEF03);
-  PrefillAgent(&seed_agent, 256, 0xBEEF04);
-  PrefillAgent(&scalar_agent, 256, 0xBEEF04);
-  PrefillAgent(&batched_agent, 256, 0xBEEF04);
-
-  double scalar_loss_diff = 0.0;
-  double seed_loss_diff = 0.0;
-  for (int i = 0; i < equiv_steps; ++i) {
-    const double seed_loss = seed_agent.TrainStep();
-    const double scalar_loss = scalar_agent.TrainStep();
-    const double batched_loss = batched_agent.TrainStep();
-    scalar_loss_diff =
-        std::max(scalar_loss_diff, std::abs(scalar_loss - batched_loss));
-    seed_loss_diff =
-        std::max(seed_loss_diff, std::abs(seed_loss - batched_loss));
-  }
-  RecordEquiv("ddpg_loss_batched_vs_scalar", scalar_loss_diff, 1e-9);
-  RecordEquiv("ddpg_loss_batched_vs_seed", seed_loss_diff, 1e-9);
-
-  Rng probe_rng(0xBEEF05);
-  std::vector<double> probe(63);
-  for (double& v : probe) v = probe_rng.Uniform(-1.0, 1.0);
-  RecordEquiv("ddpg_policy_batched_vs_scalar",
-              MaxAbsDiff(scalar_agent.Act(probe), batched_agent.Act(probe)),
-              1e-9);
-
-  // Headline row: the seed implementation vs. the batched rewrite. The
-  // second row isolates the batching itself by timing the in-tree
-  // per-sample path (which already shares the buffer-indexing and Adam
-  // improvements) against the batched one.
-  const double seed_ms = TimeMs([&] { seed_agent.TrainStep(); }, iters);
-  const double scalar_ms = TimeMs([&] { scalar_agent.TrainStep(); }, iters);
-  const double batched_ms = TimeMs([&] { batched_agent.TrainStep(); }, iters);
-  RecordBench("ddpg_train_step", "state 63, action 20, batch 32, hidden 64x64",
-              seed_ms, batched_ms);
-  RecordBench("ddpg_train_step_scalar",
-              "same config; baseline = in-tree per-sample path", scalar_ms,
-              batched_ms);
 }
 
 void BenchForest(bool smoke) {
@@ -1572,8 +1307,6 @@ int main(int argc, char** argv) {
       smoke ? "smoke" : "full", std::thread::hardware_concurrency(),
       g_pool_threads);
   BenchGemm(smoke);
-  BenchMlpStep(smoke);
-  BenchDdpg(smoke);
   BenchForest(smoke);
   BenchGpFit(smoke);
   BenchGpEiBatch(smoke);

@@ -68,7 +68,9 @@ std::vector<std::vector<double>> HunterTuner::Propose(size_t count) {
 void HunterTuner::Observe(const std::vector<controller::Sample>& samples) {
   // Samples the clone fleet gave up on (infrastructure faults, not boot
   // failures) carry no information about their configuration: keep them out
-  // of the Shared Pool and away from the GA/DDPG learners entirely.
+  // of the Shared Pool and away from the GA/DDPG learners entirely. The
+  // Recommender gets every sample and skips the failed ones itself, since
+  // it pairs samples with its proposals by index.
   std::vector<controller::Sample> usable;
   usable.reserve(samples.size());
   for (const controller::Sample& sample : samples) {
@@ -97,7 +99,7 @@ void HunterTuner::Observe(const std::vector<controller::Sample>& samples) {
     return;
   }
   const size_t trained = recommender_->train_steps();
-  recommender_->Observe(usable);
+  recommender_->Observe(samples);
   ReportTrainSteps(recommender_->train_steps() - trained);
   recommend_samples_ += usable.size();
   if (options_.reoptimize_every > 0 &&

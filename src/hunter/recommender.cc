@@ -156,8 +156,13 @@ std::vector<std::vector<double>> Recommender::Propose(size_t count) {
 }
 
 void Recommender::Observe(const std::vector<controller::Sample>& samples) {
+  int usable = 0;
   for (size_t i = 0; i < samples.size(); ++i) {
     const controller::Sample& sample = samples[i];
+    // Sample i answers proposal i: skip a failed evaluation at its own
+    // index so the samples after it keep their own actions.
+    if (sample.evaluation_failed) continue;
+    ++usable;
     std::vector<double> next_state = state_;
     if (!sample.boot_failed) next_state = EncodeState(sample.metrics);
     ml::Transition transition;
@@ -182,9 +187,9 @@ void Recommender::Observe(const std::vector<controller::Sample>& samples) {
   // Training effort is bounded per observation round, not per sample: a
   // 20-clone batch must not train 20x harder per unit of new data, or the
   // policy overfits its replay and collapses late in long runs.
-  const int updates = std::min<int>(
-      options_.train_steps_per_sample * static_cast<int>(samples.size()),
-      2 * options_.train_steps_per_sample);
+  const int updates =
+      std::min<int>(options_.train_steps_per_sample * usable,
+                    2 * options_.train_steps_per_sample);
   for (int k = 0; k < updates; ++k) agent_->TrainStep();
 }
 

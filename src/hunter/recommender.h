@@ -59,6 +59,8 @@ class Recommender {
   // frozen knobs from the base config, rules applied last).
   std::vector<std::vector<double>> Propose(size_t count);
 
+  // `samples[i]` answers the i-th configuration of the last Propose. Samples
+  // whose evaluation failed (an infrastructure fault) are skipped.
   void Observe(const std::vector<controller::Sample>& samples);
 
   // P(A_c) after `t` observed steps (exposed for tests; Equations 5-7).

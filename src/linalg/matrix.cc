@@ -32,8 +32,8 @@ void GemmTransposedAInto(const double* __restrict a, size_t k, size_t m,
                          const double* __restrict b, size_t n, bool accumulate,
                          double* __restrict out) {
   // Contraction over the shared leading row index r of the k x m operand,
-  // ascending — the same order in which the per-sample backward pass
-  // accumulates parameter gradients.
+  // ascending: batch rows add into a parameter gradient in order, as the
+  // golden training digests in tests/ml/ were recorded.
   simd::GemmTransposedAInto(a, k, m, b, n, accumulate, out);
 }
 

@@ -8,8 +8,9 @@
 //
 // Numeric contract: every GEMM kernel accumulates each output element with
 // the k (inner/contraction) index ascending, exactly like a textbook
-// dot-product loop. The batched ML paths rely on this to stay bit-compatible
-// with the per-sample reference paths they replaced.
+// dot-product loop. This keeps the AVX2 and scalar tiers bit-identical, a
+// batched MLP forward row equal to Mlp::Predict, and the golden training
+// digests in tests/ml/ (recorded from the former per-sample paths) valid.
 
 #ifndef HUNTER_LINALG_MATRIX_H_
 #define HUNTER_LINALG_MATRIX_H_
@@ -36,8 +37,9 @@ void GemmBiasInto(const double* a, size_t m, size_t k, const double* b,
                   size_t n, const double* bias, double* out);
 
 // out (+)= a^T * b where `a` is (k x m) and `b` is (k x n); the contraction
-// runs over the leading (row) index of both, ascending, which matches the
-// sample-by-sample gradient accumulation order of the per-sample paths.
+// runs over the leading (row) index of both, ascending, so batch rows add
+// into a parameter gradient in order, as the golden training digests in
+// tests/ml/ were recorded.
 void GemmTransposedAInto(const double* a, size_t k, size_t m, const double* b,
                          size_t n, bool accumulate, double* out);
 

@@ -32,8 +32,8 @@ enum class PanelInit { kLoad, kZero, kBias };
 // kTransposedA selects how the contraction reads A: row-major (C = A B,
 // the contraction walks a row of A) or transposed (C = A^T B, it walks a
 // column of the k x m operand). Either way the contraction index kk
-// ascends, matching the per-sample dot-product / gradient-accumulation
-// order.
+// ascends: the textbook dot-product order, which the AVX2 tier reproduces
+// bit for bit and the golden training digests in tests/ml/ pin.
 // hunterlint: hot
 template <bool kTransposedA, size_t kJw, PanelInit kInit>
 void GemmPanel(const double* __restrict a, size_t m, size_t k,
@@ -133,8 +133,8 @@ void GemmTransposedAIntoScalar(const double* a, size_t k, size_t m,
                                const double* b, size_t n, bool accumulate,
                                double* out) {
   // Contraction over the shared leading row index r of the k x m operand,
-  // ascending — the same order in which the per-sample backward pass
-  // accumulates parameter gradients.
+  // ascending: batch rows add into a parameter gradient in order, as the
+  // golden training digests in tests/ml/ were recorded.
   if (accumulate) {
     GemmDispatch<true, PanelInit::kLoad>(a, m, k, b, n, nullptr, out);
   } else {

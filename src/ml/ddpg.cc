@@ -43,6 +43,7 @@ Ddpg::Ddpg(const DdpgOptions& options, common::Rng* rng)
       rng_(rng->Fork()),
       buffer_(options.replay_capacity) {
   assert(options.state_dim > 0 && options.action_dim > 0);
+  assert(options.grad_clip > 0.0);
   common::Rng init_rng = rng_.Fork();
   actor_ = Mlp(BuildSizes(options.state_dim, options.actor_hidden,
                           options.action_dim),
@@ -69,70 +70,6 @@ double Ddpg::TrainStep() {
   if (buffer_.empty()) return 0.0;
   ++train_steps_;
   buffer_.SampleIndices(options_.batch_size, &rng_, &batch_indices_);
-  return options_.batched_training ? TrainStepBatched() : TrainStepScalar();
-}
-
-// The original per-sample reference path. Kept (behind
-// DdpgOptions::batched_training = false) for baseline timing and for the
-// equivalence tests that pin the batched path to it bit for bit.
-double Ddpg::TrainStepScalar() {
-  // ---- Critic update: minimize (Q(s,a) - y)^2 with
-  //      y = r + gamma * Q'(s', mu'(s')).
-  double total_loss = 0.0;
-  critic_.ZeroGradients();
-  for (const size_t index : batch_indices_) {
-    const Transition& t = buffer_.at(index);
-    double target = t.reward;
-    if (!t.terminal) {
-      const std::vector<double> next_action =
-          TanhToUnit(target_actor_.Predict(t.next_state));
-      const std::vector<double> next_q =
-          target_critic_.Predict(Concat(t.next_state, next_action));
-      target += options_.gamma * next_q[0];
-    }
-    const std::vector<double> q = critic_.Forward(Concat(t.state, t.action));
-    const double error = q[0] - target;
-    total_loss += error * error;
-    critic_.Backward({2.0 * error});
-  }
-  critic_.AdamStep(options_.critic_lr, batch_indices_.size());
-
-  // ---- Actor update: ascend dQ/da through the critic.
-  actor_.ZeroGradients();
-  for (const size_t index : batch_indices_) {
-    const Transition& t = buffer_.at(index);
-    const std::vector<double> tanh_action = actor_.Forward(t.state);
-    const std::vector<double> unit_action = TanhToUnit(tanh_action);
-    critic_.Forward(Concat(t.state, unit_action));
-    // Minimize -Q => grad_output = -1. Backward also accumulates critic
-    // parameter gradients, which we discard below.
-    const std::vector<double> grad_input = critic_.Backward({-1.0});
-    std::vector<double> grad_action(options_.action_dim);
-    for (size_t i = 0; i < options_.action_dim; ++i) {
-      // Chain through the [-1,1] -> [0,1] affine map (factor 0.5).
-      grad_action[i] = 0.5 * grad_input[options_.state_dim + i];
-      if (options_.grad_clip > 0.0) {
-        grad_action[i] = std::clamp(grad_action[i], -options_.grad_clip,
-                                    options_.grad_clip);
-      }
-    }
-    actor_.Backward(grad_action);
-  }
-  critic_.ZeroGradients();  // discard gradients from the actor pass
-  actor_.AdamStep(options_.actor_lr, batch_indices_.size());
-
-  // ---- Soft target updates.
-  target_actor_.SoftUpdateFrom(actor_, options_.tau);
-  target_critic_.SoftUpdateFrom(critic_, options_.tau);
-
-  return total_loss / static_cast<double>(batch_indices_.size());
-}
-
-// Batched path: the same three passes as TrainStepScalar, each run as one
-// minibatch GEMM over preallocated arenas. Every floating-point sum below
-// is evaluated in the same order as the scalar path (see mlp.h), so the two
-// paths produce bit-identical parameters from the same RNG stream.
-double Ddpg::TrainStepBatched() {
   const size_t batch = batch_indices_.size();
   const size_t s_dim = options_.state_dim;
   const size_t a_dim = options_.action_dim;
@@ -197,22 +134,18 @@ double Ddpg::TrainStepBatched() {
   critic_.ForwardBatch(b_sa_, &b_q_);
   b_grad_q_.Reshape(batch, 1);
   b_grad_q_.Fill(-1.0);
-  // The scalar path accumulates critic parameter gradients here and then
-  // discards them; skipping their GEMMs outright changes nothing.
+  // The critic is frozen during the actor update, and the next critic
+  // update zeroes its gradients before accumulating, so its parameter
+  // gradients here would be discarded unread: skip their GEMMs.
   critic_.BackwardBatch(b_grad_q_, &b_grad_sa_,
                         /*accumulate_param_grads=*/false);
   b_grad_action_.Reshape(batch, a_dim);
   for (size_t r = 0; r < batch; ++r) {
-    // Chain through the [-1,1] -> [0,1] affine map (factor 0.5), clipping
-    // like the scalar path when grad_clip is enabled.
-    const double* grad_row = b_grad_sa_.Data() + r * (s_dim + a_dim) + s_dim;
-    double* out_row = b_grad_action_.Data() + r * a_dim;
-    if (options_.grad_clip > 0.0) {
-      linalg::simd::ScaleClampInto(grad_row, 0.5, options_.grad_clip, out_row,
-                                   a_dim);
-    } else {
-      linalg::simd::ScaleInto(grad_row, 0.5, out_row, a_dim);
-    }
+    // Chain through the [-1,1] -> [0,1] affine map (factor 0.5), clipped to
+    // [-grad_clip, grad_clip].
+    linalg::simd::ScaleClampInto(
+        b_grad_sa_.Data() + r * (s_dim + a_dim) + s_dim, 0.5,
+        options_.grad_clip, b_grad_action_.Data() + r * a_dim, a_dim);
   }
   actor_.BackwardBatch(b_grad_action_, nullptr);
   actor_.AdamStep(options_.actor_lr, batch);

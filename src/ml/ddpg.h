@@ -31,14 +31,9 @@ struct DdpgOptions {
   double tau = 0.01;    // soft target-update rate
   size_t batch_size = 16;
   size_t replay_capacity = 100000;
-  // Gradient L2-norm clip (0 disables clipping).
+  // Bound on each element of the actor's action gradient, |0.5 * dQ/da|;
+  // must be positive.
   double grad_clip = 5.0;
-  // When true (default), TrainStep runs the three batched GEMM passes
-  // (critic target, critic update, actor update) over preallocated arenas.
-  // When false it runs the original per-sample reference path. Both paths
-  // consume the same RNG stream and produce bit-identical parameters; the
-  // flag exists for baseline timing and equivalence tests.
-  bool batched_training = true;
 };
 
 class Ddpg {
@@ -51,8 +46,10 @@ class Ddpg {
   void AddTransition(Transition transition);
 
   // Performs one minibatch update of critic and actor plus soft target
-  // updates. Returns the critic's mean squared TD error (0 if the buffer is
-  // empty, when nothing trains). Deterministic given the RNG state.
+  // updates, each pass one batched GEMM per layer over preallocated arenas.
+  // Returns the critic's mean squared TD error (0 if the buffer is empty,
+  // when nothing trains). Deterministic given the RNG state;
+  // tests/ml/ddpg_test.cc pins its bits as golden digests.
   double TrainStep();
   // Minibatch updates that actually ran (empty-buffer calls excluded).
   size_t train_steps() const { return train_steps_; }
@@ -72,10 +69,6 @@ class Ddpg {
   [[nodiscard]] bool LoadParameters(const std::vector<double>& params);
 
  private:
-  // The two TrainStep bodies; both consume `batch_indices_`.
-  double TrainStepScalar();
-  double TrainStepBatched();
-
   DdpgOptions options_;
   common::Rng rng_;
   Mlp actor_;
@@ -85,8 +78,8 @@ class Ddpg {
   ReplayBuffer buffer_;
   size_t train_steps_ = 0;
 
-  // Sampled minibatch indices and batched-training arenas, reused across
-  // steps so the steady-state train loop allocates nothing.
+  // Sampled minibatch indices and training arenas, reused across steps so
+  // the steady-state train loop allocates nothing.
   std::vector<size_t> batch_indices_;
   std::vector<double> b_target_;       // TD targets, one per row
   linalg::Matrix b_states_;            // batch x S

@@ -43,40 +43,6 @@ double Mlp::Activate(double x, Activation act) {
   return x;
 }
 
-double Mlp::ActivateGrad(double pre, double post, Activation act) {
-  switch (act) {
-    case Activation::kReLU:
-      return pre > 0.0 ? 1.0 : 0.0;
-    case Activation::kTanh:
-      return 1.0 - post * post;
-    case Activation::kLinear:
-      return 1.0;
-  }
-  return 1.0;
-}
-
-std::vector<double> Mlp::Forward(const std::vector<double>& input) {
-  assert(!layers_.empty());
-  std::vector<double> activation = input;
-  for (Layer& layer : layers_) {
-    assert(activation.size() == layer.in);
-    layer.input_cache = activation;
-    layer.pre_activation.assign(layer.out, 0.0);
-    for (size_t o = 0; o < layer.out; ++o) {
-      double sum = layer.bias[o];
-      const double* w = &layer.weights[o * layer.in];
-      for (size_t i = 0; i < layer.in; ++i) sum += w[i] * activation[i];
-      layer.pre_activation[o] = sum;
-    }
-    layer.output_cache.resize(layer.out);
-    for (size_t o = 0; o < layer.out; ++o) {
-      layer.output_cache[o] = Activate(layer.pre_activation[o], layer.activation);
-    }
-    activation = layer.output_cache;
-  }
-  return activation;
-}
-
 std::vector<double> Mlp::Predict(const std::vector<double>& input) const {
   assert(!layers_.empty());
   std::vector<double> activation = input;
@@ -114,8 +80,7 @@ void Mlp::ForwardBatch(const linalg::Matrix& input, linalg::Matrix* output) {
     }
     // pre = bias + x * W^T in one kernel: each accumulator starts from the
     // bias and the inputs add on in ascending index order — the same
-    // addition order as the per-sample loop, so the results are
-    // bit-identical.
+    // addition order as Predict's loop, so each row is bit-identical to it.
     layer.batch_pre.Reshape(batch, layer.out);
     linalg::GemmBiasInto(cur->Data(), batch, layer.in, layer.weights_t.Data(),
                          layer.out, layer.bias.data(),
@@ -183,7 +148,7 @@ void Mlp::BackwardBatch(const linalg::Matrix& grad_output,
         (li == 1) ? *batch_input0_ : layers_[li - 2].batch_out;
     if (accumulate_param_grads) {
       // grad_weights += delta^T * layer_input: the contraction runs over the
-      // batch rows ascending, matching per-sample accumulation order.
+      // batch rows ascending.
       linalg::GemmTransposedAInto(delta, batch, layer.out, layer_input.Data(),
                                   layer.in, /*accumulate=*/true,
                                   layer.grad_weights.data());
@@ -206,38 +171,6 @@ void Mlp::BackwardBatch(const linalg::Matrix& grad_output,
       std::swap(next, spare);
     }
   }
-}
-
-std::vector<double> Mlp::Backward(const std::vector<double>& grad_output) {
-  assert(!layers_.empty());
-  std::vector<double> grad = grad_output;
-  for (size_t li = layers_.size(); li > 0; --li) {
-    Layer& layer = layers_[li - 1];
-    assert(grad.size() == layer.out);
-    // Gradient through activation.
-    std::vector<double> delta(layer.out);
-    for (size_t o = 0; o < layer.out; ++o) {
-      delta[o] = grad[o] * ActivateGrad(layer.pre_activation[o],
-                                        layer.output_cache[o],
-                                        layer.activation);
-    }
-    // Parameter gradients.
-    for (size_t o = 0; o < layer.out; ++o) {
-      double* gw = &layer.grad_weights[o * layer.in];
-      for (size_t i = 0; i < layer.in; ++i) {
-        gw[i] += delta[o] * layer.input_cache[i];
-      }
-      layer.grad_bias[o] += delta[o];
-    }
-    // Gradient w.r.t. the layer input.
-    std::vector<double> grad_input(layer.in, 0.0);
-    for (size_t o = 0; o < layer.out; ++o) {
-      const double* w = &layer.weights[o * layer.in];
-      for (size_t i = 0; i < layer.in; ++i) grad_input[i] += w[i] * delta[o];
-    }
-    grad.swap(grad_input);
-  }
-  return grad;
 }
 
 void Mlp::AdamStep(double learning_rate, size_t batch_size) {

@@ -1,17 +1,19 @@
 // A small fully-connected network with Adam, sufficient for DDPG's actor and
 // critic (the paper's Recommender trains two MLPs; CDBTune uses the same).
-// Supports forward, backward (returning the gradient w.r.t. the input, which
-// DDPG's actor update needs to pull dQ/da out of the critic), soft target
-// updates, and parameter (de)serialization for the model-reuse schemes (§4).
+// Supports minibatch forward and backward (returning the gradient w.r.t. the
+// input, which DDPG's actor update needs to pull dQ/da out of the critic),
+// soft target updates, and parameter (de)serialization for the model-reuse
+// schemes (§4).
 //
-// Two training paths exist: the per-sample Forward/Backward pair (the
-// original reference implementation, still used for equivalence checks) and
-// the minibatch ForwardBatch/BackwardBatch pair, which runs each pass as one
-// GEMM over a (batch x dim) matrix with per-layer scratch arenas reused
-// across steps. The batched path is bit-identical to calling the per-sample
-// path row by row: biases are seeded into the pre-activation arena before an
-// accumulate-mode GEMM whose contraction index ascends exactly like the
-// per-sample dot-product loops (see linalg/matrix.h).
+// Training has one path: ForwardBatch/BackwardBatch run each pass as one
+// GEMM over a (batch x dim) matrix, with per-layer scratch arenas reused
+// across steps. Predict evaluates one example without touching them. Row r
+// of ForwardBatch is bit-identical to Predict(row r): biases are seeded
+// into the pre-activation arena before an accumulate-mode GEMM whose
+// contraction index ascends exactly like Predict's dot-product loop (see
+// linalg/matrix.h). So DDPG acts (Predict) with the same policy it trains
+// (ForwardBatch). tests/ml/mlp_test.cc pins the training outputs' bits as
+// golden digests and checks the input gradient against finite differences.
 
 #ifndef HUNTER_ML_MLP_H_
 #define HUNTER_ML_MLP_H_
@@ -35,20 +37,13 @@ class Mlp {
   Mlp(const std::vector<size_t>& layer_sizes, Activation hidden,
       Activation output, common::Rng* rng);
 
-  // Forward pass on a single example; caches activations for Backward.
-  std::vector<double> Forward(const std::vector<double>& input);
-
-  // Forward pass without touching the backprop caches (safe for target nets
-  // and concurrent evaluation after training).
+  // Forward pass on a single example, without touching the training arenas
+  // (safe for target nets and concurrent evaluation after training).
   std::vector<double> Predict(const std::vector<double>& input) const;
-
-  // Backpropagates `grad_output` (dLoss/dOutput) through the cached forward
-  // pass, accumulating parameter gradients; returns dLoss/dInput.
-  std::vector<double> Backward(const std::vector<double>& grad_output);
 
   // Minibatch forward: `input` is (batch x in), `*output` becomes
   // (batch x out). Caches per-layer batch activations for BackwardBatch.
-  // Row r of the output is bit-identical to Forward(row r of input).
+  // Row r of the output is bit-identical to Predict(row r of input).
   // `input` is borrowed, not copied: it must stay alive and unmodified
   // until the matching BackwardBatch (which reads it for the first layer's
   // parameter-gradient GEMM), and must not alias `*output`.
@@ -56,11 +51,11 @@ class Mlp {
 
   // Minibatch backward through the cached ForwardBatch pass. `grad_output`
   // is (batch x out); parameter gradients accumulate summed over the batch
-  // in row order (bit-identical to per-sample Backward calls in the same
-  // order). If `grad_input` is non-null it becomes dLoss/dInput
-  // (batch x in). Pass accumulate_param_grads=false when only the input
-  // gradient is wanted (e.g. DDPG's actor update backpropagating through a
-  // frozen critic) — the parameter-gradient GEMMs are skipped entirely.
+  // in ascending row order. If `grad_input` is non-null it becomes
+  // dLoss/dInput (batch x in). Pass accumulate_param_grads=false when only
+  // the input gradient is wanted (e.g. DDPG's actor update backpropagating
+  // through a frozen critic) — the parameter-gradient GEMMs are skipped
+  // entirely.
   void BackwardBatch(const linalg::Matrix& grad_output,
                      linalg::Matrix* grad_input,
                      bool accumulate_param_grads = true);
@@ -99,10 +94,6 @@ class Mlp {
     std::vector<double> grad_weights;
     std::vector<double> grad_bias;
     std::vector<double> m_weights, v_weights, m_bias, v_bias;
-    // Forward caches (single example).
-    std::vector<double> input_cache;
-    std::vector<double> pre_activation;
-    std::vector<double> output_cache;
     // Minibatch arenas; allocated on first use, reused every step after.
     // A layer's input is the previous layer's batch_out (or the Mlp-level
     // batch_input0_ for the first layer), so no per-layer input copy exists.
@@ -115,7 +106,6 @@ class Mlp {
   };
 
   static double Activate(double x, Activation act);
-  static double ActivateGrad(double pre, double post, Activation act);
 
   std::vector<Layer> layers_;
   size_t adam_step_ = 0;

@@ -18,14 +18,4 @@ void ReplayBuffer::SampleIndices(size_t batch_size, common::Rng* rng,
   }
 }
 
-std::vector<Transition> ReplayBuffer::SampleBatch(size_t batch_size,
-                                                  common::Rng* rng) const {
-  std::vector<size_t> indices;
-  SampleIndices(batch_size, rng, &indices);
-  std::vector<Transition> batch;
-  batch.reserve(indices.size());
-  for (const size_t index : indices) batch.push_back(buffer_[index]);
-  return batch;
-}
-
 }  // namespace hunter::ml

@@ -28,16 +28,11 @@ class ReplayBuffer {
   void Add(Transition transition);
 
   // Uniformly samples `batch_size` indices into the buffer (with
-  // replacement). Clears and fills `*out`; leaves it empty when the buffer
-  // is. Draws the same RNG stream as SampleBatch, and copies nothing — the
-  // train loop reads the sampled transitions through at().
+  // replacement), one RNG draw each. Clears and fills `*out`; leaves it
+  // empty when the buffer is. Copies no transition: the train loop reads
+  // the sampled ones through at().
   void SampleIndices(size_t batch_size, common::Rng* rng,
                      std::vector<size_t>* out) const;
-
-  // Uniformly samples `batch_size` transitions (with replacement when the
-  // buffer holds fewer entries than requested). Copies each transition;
-  // prefer SampleIndices + at() on hot paths.
-  std::vector<Transition> SampleBatch(size_t batch_size, common::Rng* rng) const;
 
   const Transition& at(size_t index) const { return buffer_[index]; }
 

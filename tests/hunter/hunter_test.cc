@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cdb/fitness.h"
 #include "cdb/knob_catalog.h"
 #include "cdb/metric_catalog.h"
 #include "controller/controller.h"
@@ -258,6 +260,55 @@ TEST_F(HunterTest, DdpgTrainStepsCountsUpdatesThatRan) {
   EXPECT_EQ(registry->RegisterCounter("hunter.ddpg_train_steps")->value(),
             refreshes * options.recommender.warm_start_updates +
                 static_cast<double>(observe_steps));
+}
+
+TEST_F(HunterTest, FailedEvaluationKeepsSamplesPairedWithTheirProposals) {
+  auto controller = MakeController(3);
+  HunterOptions options = FastOptions();
+  options.use_ga = false;
+  HunterTuner teacher(&catalog_, Rules(), options, 16);
+  for (int round = 0;
+       round < 10 && teacher.phase() != HunterTuner::Phase::kRecommend;
+       ++round) {
+    teacher.Observe(controller->EvaluateBatch(teacher.Propose(3)));
+  }
+  const auto model = teacher.ExportModel();
+  ASSERT_TRUE(model.has_value());
+
+  // An imported model has no best sample yet, so the student's first
+  // proposals come from the policy plus OU noise and differ. FES is pinned
+  // to exploitation without noise or restarts: once a best sample exists,
+  // every proposal repeats its selected knobs.
+  options.reoptimize_every = 0;
+  options.recommender.fes_p_current_start = 0.0;
+  options.recommender.fes_p_current_cap = 0.0;
+  options.recommender.fes_best_noise = 0.0;
+  options.recommender.random_restart_prob = 0.0;
+  HunterTuner student(&catalog_, Rules(), options, 17);
+  ASSERT_TRUE(student.ImportModel(*model));
+  const auto proposals = student.Propose(3);
+  std::vector<controller::Sample> samples =
+      controller->EvaluateBatch(proposals);
+  ASSERT_EQ(samples.size(), 3u);
+  ASSERT_FALSE(samples[2].boot_failed);
+  // Proposal 1's evaluation fails; proposal 2 becomes the best sample.
+  samples[1].boot_failed = true;
+  samples[1].evaluation_failed = true;
+  samples[1].fitness = cdb::kBootFailureFitness;
+  samples[2].fitness = samples[0].fitness + 1.0;
+  student.Observe(samples);
+
+  const auto next = student.Propose(1);
+  ASSERT_EQ(next.size(), 1u);
+  auto selected_knobs = [&student](const std::vector<double>& config) {
+    std::vector<double> values;
+    for (const size_t knob : student.recommender()->space().selected_knobs) {
+      values.push_back(config[knob]);
+    }
+    return values;
+  };
+  EXPECT_NE(selected_knobs(proposals[1]), selected_knobs(proposals[2]));
+  EXPECT_EQ(selected_knobs(next[0]), selected_knobs(proposals[2]));
 }
 
 TEST_F(HunterTest, ModelRegistryMatchesBySignature) {

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "tests/ml/bit_digest.h"
 
 namespace hunter::ml {
 namespace {
@@ -162,21 +162,13 @@ uint64_t BatchOutputDigest(const GaussianProcess& gp, const linalg::Matrix& q,
   gp.PredictBatch(q, &predictions);
   std::vector<double> scores;
   gp.ExpectedImprovementBatch(q, best_so_far, &scores);
-  uint64_t hash = 0xcbf29ce484222325ull;
-  auto mix = [&hash](double value) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffu;
-      hash *= 0x100000001b3ull;
-    }
-  };
+  BitDigest digest;
   for (const auto& p : predictions) {
-    mix(p.mean);
-    mix(p.variance);
+    digest.Mix(p.mean);
+    digest.Mix(p.variance);
   }
-  for (const double score : scores) mix(score);
-  return hash;
+  digest.Mix(scores);
+  return digest.value();
 }
 
 // The batch outputs are pinned as golden data; ref::SeedGp in

@@ -49,12 +49,15 @@ ctest --test-dir build-check --output-on-failure -j "$JOBS"
 echo "== [4/10] bench equivalence smoke =="
 ( cd build-check && ./bench/bench_micro_hotpaths --mode=smoke \
     --out bench_hotpaths_smoke.json )
-# The engine fast-path, GP oracle and SIMD bit-identity gates must actually
-# have run: a refactor that silently dropped one of the seed-equivalence
-# checks would otherwise pass this stage on timings alone.
-for gate in zipf_stream_vs_seed bufferpool_replay_vs_seed \
+# Every equivalence gate the harness has must actually have run: a
+# refactor that silently dropped one of the seed-equivalence checks would
+# otherwise pass this stage on timings alone.
+for gate in gemm_into_vs_naive rf_new_vs_reference \
+    rf_parallel_bitidentical_serial \
+    zipf_stream_vs_seed bufferpool_replay_vs_seed \
     engine_cold_vs_seed engine_cold_rng_stream \
     gp_fit_vs_seed gp_ei_batch_vs_seed \
+    pca_covariance_gemm_vs_naive pca_ql_vs_jacobi_eigenvalues \
     gemm_simd_vs_scalar gp_kernel_simd_vs_scalar \
     mlp_forward_simd_vs_scalar; do
   grep -q "\"$gate\"" build-check/bench_hotpaths_smoke.json || {
