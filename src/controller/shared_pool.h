@@ -1,7 +1,8 @@
 // The Shared Pool of stress-test samples (§2.1). The Sample Factory fills
 // it during phase 1; the Search Space Optimizer consumes all of it in phase
 // 2; the Recommender warm-starts its replay buffer from it in phase 3.
-// Thread-safe because Actors may stress-test clones concurrently.
+// HunterTuner's tuning loop is the one writer; the mutex makes every call
+// safe from any thread (ConcurrentAddBatchBestSnapshotStress checks it).
 
 #ifndef HUNTER_CONTROLLER_SHARED_POOL_H_
 #define HUNTER_CONTROLLER_SHARED_POOL_H_
@@ -31,7 +32,7 @@ class SharedPool {
 
  private:
   mutable std::mutex mutex_;
-  std::vector<Sample> samples_;  // hunterlint: guarded_by(mutex_)
+  std::vector<Sample> samples_;  // guarded by mutex_
 };
 
 }  // namespace hunter::controller

@@ -3,8 +3,7 @@
 #
 #   1. configure + build with HUNTER_WERROR=ON (-Werror -Wshadow -Wconversion
 #      on top of the always-on -Wall -Wextra)
-#   2. hunterlint over src/ tests/ bench/ examples/ against the checked-in
-#      debt baseline (empty, and ratcheted non-increasing)
+#   2. hunterlint over src/ tests/ bench/ examples/: zero findings
 #   3. the full tier-1 ctest suite (includes the `lint` and `perf` labels)
 #   4. the hot-path micro-benchmarks in smoke mode: one rep per benchmark,
 #      gating on the golden equivalence checks (optimized paths must match
@@ -16,14 +15,10 @@
 #      stage covers the remaining tests (-LE force_scalar)
 #   6. a tracecat smoke: emit two same-seed run journals, require them
 #      byte-identical, and render a breakdown + a cross-seed diff
-#   7. a lint-report smoke: two `hunterlint --format=json` runs over the
-#      tree must be byte-identical (lintdiff exit 0), and lintdiff must
-#      report a real difference (exit 1) between the tree and the
-#      violation fixtures
-#   8. a sanitizer smoke: `ctest -L concurrency` under TSan
-#   9. the whole tier-1 suite under ASan+LSan, with
+#   7. a sanitizer smoke: `ctest -L concurrency` under TSan
+#   8. the whole tier-1 suite under ASan+LSan, with
 #      ASAN_OPTIONS=detect_leaks=1 so leaks fail at exit
-#  10. the whole tier-1 suite under UBSan (HUNTER_SANITIZE=undefined builds
+#   9. the whole tier-1 suite under UBSan (HUNTER_SANITIZE=undefined builds
 #      with -fno-sanitize-recover=all, so any undefined behaviour aborts
 #      its test)
 #
@@ -35,18 +30,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-echo "== [1/10] configure + build (HUNTER_WERROR=ON) =="
+echo "== [1/9] configure + build (HUNTER_WERROR=ON) =="
 cmake -B build-check -S . -DHUNTER_WERROR=ON
 cmake --build build-check -j "$JOBS"
 
-echo "== [2/10] hunterlint (baseline ratchet) =="
-./build-check/tools/hunterlint/hunterlint --root . \
-    --baseline tools/hunterlint/baseline.json src tests bench examples
+echo "== [2/9] hunterlint (zero findings) =="
+./build-check/tools/hunterlint/hunterlint --root . src tests bench examples
 
-echo "== [3/10] tier-1 tests =="
+echo "== [3/9] tier-1 tests =="
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
 
-echo "== [4/10] bench equivalence smoke =="
+echo "== [4/9] bench equivalence smoke =="
 ( cd build-check && ./bench/bench_micro_hotpaths --mode=smoke \
     --out bench_hotpaths_smoke.json )
 # Every equivalence gate the harness has must actually have run: a
@@ -66,14 +60,14 @@ for gate in gemm_into_vs_naive rf_new_vs_reference \
   }
 done
 
-echo "== [5/10] forced-scalar tier-1 tests (HUNTER_FORCE_SCALAR=1) =="
+echo "== [5/9] forced-scalar tier-1 tests (HUNTER_FORCE_SCALAR=1) =="
 # Stage 3 already ran every test's force_scalar-labeled duplicate; this run
 # pins the dispatch for the remaining tests (lint, perf, examples, and the
 # unlabeled originals) so the whole suite is proven green at the scalar tier.
 HUNTER_FORCE_SCALAR=1 ctest --test-dir build-check -LE force_scalar \
     --output-on-failure -j "$JOBS"
 
-echo "== [6/10] tracecat smoke =="
+echo "== [6/9] tracecat smoke =="
 SMOKE_DIR="build-check/tracecat-smoke"
 mkdir -p "$SMOKE_DIR"
 ./build-check/examples/trace_journal "$SMOKE_DIR/seed42_a.jsonl" 42
@@ -87,38 +81,18 @@ cmp "$SMOKE_DIR/seed42_a.jsonl" "$SMOKE_DIR/seed42_b.jsonl" || {
 ./build-check/tools/tracecat/tracecat diff \
   "$SMOKE_DIR/seed42_a.jsonl" "$SMOKE_DIR/seed43.jsonl"
 
-echo "== [7/10] lint-report determinism (lintdiff) =="
-LINT_DIR="build-check/lint-smoke"
-mkdir -p "$LINT_DIR"
-./build-check/tools/hunterlint/hunterlint --root . --format=json \
-    src tests bench examples > "$LINT_DIR/tree_a.json"
-./build-check/tools/hunterlint/hunterlint --root . --format=json \
-    src tests bench examples > "$LINT_DIR/tree_b.json"
-./build-check/tools/lintdiff/lintdiff "$LINT_DIR/tree_a.json" \
-    "$LINT_DIR/tree_b.json"
-# The fixture report must differ from the clean tree: a non-empty diff is
-# lintdiff exit 1, so the gate FAILS if it claims the reports are identical.
-./build-check/tools/hunterlint/hunterlint \
-    --root tools/hunterlint/testdata --format=json violations \
-    > "$LINT_DIR/fixtures.json" || true
-if ./build-check/tools/lintdiff/lintdiff "$LINT_DIR/tree_a.json" \
-    "$LINT_DIR/fixtures.json" > /dev/null; then
-  echo "lintdiff smoke: failed to distinguish tree from fixtures" >&2
-  exit 1
-fi
-
-echo "== [8/10] TSan concurrency smoke =="
+echo "== [7/9] TSan concurrency smoke =="
 cmake -B build-check-tsan -S . -DHUNTER_SANITIZE=thread
 cmake --build build-check-tsan -j "$JOBS"
 ctest --test-dir build-check-tsan -L concurrency --output-on-failure -j "$JOBS"
 
-echo "== [9/10] ASan+LSan tier-1 tests =="
+echo "== [8/9] ASan+LSan tier-1 tests =="
 cmake -B build-check-asan -S . -DHUNTER_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-check-asan --output-on-failure -j "$JOBS"
 
-echo "== [10/10] UBSan tier-1 tests =="
+echo "== [9/9] UBSan tier-1 tests =="
 cmake -B build-check-ubsan -S . -DHUNTER_SANITIZE=undefined
 cmake --build build-check-ubsan -j "$JOBS"
 ctest --test-dir build-check-ubsan --output-on-failure -j "$JOBS"

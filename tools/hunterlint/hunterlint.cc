@@ -1,6 +1,7 @@
 #include "hunterlint/hunterlint.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -8,17 +9,19 @@
 #include <utility>
 
 #include "hunterlint/lexer.h"
-#include "hunterlint/sem.h"
 
 namespace hunter::lint {
 
 namespace {
 
-struct Suppression {
-  std::string rule;
-  int line = 0;         // line the annotation comment starts on
+// One `hunterlint:` directive parsed out of a comment: `allow(rule)
+// reason`, `hot`, or an unknown word, which is reported.
+struct Directive {
+  std::string verb;
+  std::string rule;         // allow(...) only
+  int line = 0;             // line the comment starts on
   bool owns_line = false;
-  bool has_reason = false;
+  bool has_reason = false;  // allow(...) only
 };
 
 std::string Trim(const std::string& s) {
@@ -28,37 +31,43 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
-// Parses every `hunterlint: allow(rule) reason` directive out of a comment.
-// Malformed directives (no parenthesized rule) are ignored — they read as
-// prose mentioning hunterlint, not as annotations. The semantic directives
-// (guarded_by/requires/hot) are parsed separately in sem.cc.
-void ParseAnnotations(const Comment& comment,
-                      std::vector<Suppression>* out) {
+// Parses every `hunterlint: <word>` directive out of a comment. An `allow`
+// without a parenthesized rule is ignored, as is a marker followed by no
+// word: they read as prose mentioning hunterlint, not as directives.
+void ParseDirectives(const Comment& comment, std::vector<Directive>* out) {
   const std::string kMarker = "hunterlint:";
+  const std::string& text = comment.text;
   size_t pos = 0;
-  while ((pos = comment.text.find(kMarker, pos)) != std::string::npos) {
+  while ((pos = text.find(kMarker, pos)) != std::string::npos) {
     pos += kMarker.size();
-    size_t cursor = comment.text.find_first_not_of(" \t", pos);
-    if (cursor == std::string::npos ||
-        comment.text.compare(cursor, 5, "allow") != 0) {
-      continue;
+    const size_t word = std::min(text.find_first_not_of(" \t", pos),
+                                 text.size());
+    size_t word_end = word;
+    while (word_end < text.size() &&
+           (std::isalnum(static_cast<unsigned char>(text[word_end])) ||
+            text[word_end] == '_')) {
+      ++word_end;
     }
-    cursor = comment.text.find_first_not_of(" \t", cursor + 5);
-    if (cursor == std::string::npos || comment.text[cursor] != '(') continue;
-    const size_t close = comment.text.find(')', cursor);
-    if (close == std::string::npos) continue;
-    Suppression sup;
-    sup.rule = Trim(comment.text.substr(cursor + 1, close - cursor - 1));
-    sup.line = comment.line;
-    sup.owns_line = comment.owns_line;
-    // The reason runs to the end of the comment (or the next directive).
-    size_t reason_end = comment.text.find(kMarker, close);
-    if (reason_end == std::string::npos) reason_end = comment.text.size();
-    sup.has_reason = !Trim(comment.text.substr(close + 1,
-                                               reason_end - close - 1))
-                          .empty();
-    out->push_back(std::move(sup));
-    pos = close;
+    if (word_end == word) continue;
+    Directive d;
+    d.verb = text.substr(word, word_end - word);
+    d.line = comment.line;
+    d.owns_line = comment.owns_line;
+    pos = word_end;
+    if (d.verb == "allow") {
+      const size_t open = text.find_first_not_of(" \t", word_end);
+      if (open == std::string::npos || text[open] != '(') continue;
+      const size_t close = text.find(')', open);
+      if (close == std::string::npos) continue;
+      d.rule = Trim(text.substr(open + 1, close - open - 1));
+      // The reason runs to the end of the comment (or the next directive).
+      size_t reason_end = text.find(kMarker, close);
+      if (reason_end == std::string::npos) reason_end = text.size();
+      d.has_reason =
+          !Trim(text.substr(close + 1, reason_end - close - 1)).empty();
+      pos = close;
+    }
+    out->push_back(std::move(d));
   }
 }
 
@@ -68,59 +77,17 @@ bool IsLintableExtension(const std::filesystem::path& p) {
          ext == ".cxx";
 }
 
-// One lexed + parsed file, held across the two LintTree phases so the
-// merged ProjectModel (phase 1) can inform every file's rules (phase 2).
-struct ParsedFile {
-  std::string rel_path;
-  bool is_header = false;
-  LexedFile lex;
-  FileModel model;
-  std::vector<Suppression> sups;
-};
-
-ParsedFile ParseSource(const std::string& rel_path,
-                       const std::string& source) {
-  ParsedFile pf;
-  pf.rel_path = rel_path;
-  const size_t dot = rel_path.find_last_of('.');
-  const std::string ext =
-      (dot == std::string::npos) ? "" : rel_path.substr(dot);
-  pf.is_header = (ext == ".h" || ext == ".hpp");
-  pf.lex = Lex(source);
-  pf.model = BuildFileModel(pf.lex);
-  for (const Comment& comment : pf.lex.comments) {
-    ParseAnnotations(comment, &pf.sups);
-  }
-  return pf;
-}
-
-// Token + semantic rules for one file against the merged project model.
-// `extra` carries violations computed globally but attributed to this file
-// (deadlock-order cycle edges).
-std::vector<Violation> RunFileRules(const ParsedFile& pf,
-                                    const ProjectModel& project,
-                                    std::vector<LockEdge>* edges,
-                                    std::vector<Violation> extra) {
-  FileCtx ctx;
-  ctx.rel_path = pf.rel_path;
-  ctx.lex = &pf.lex;
-  ctx.is_header = pf.is_header;
-  std::vector<Violation> out = RunRules(ctx);
-  RunSemanticRules(ctx, pf.model, project, &out, edges);
-  out.insert(out.end(), extra.begin(), extra.end());
-  return out;
-}
-
-// Applies `allow(...)` suppressions, then polices the annotations
+// Applies `allow(...)` suppressions, then polices the directives
 // themselves, then orders by line.
-std::vector<Violation> ApplySuppressions(const ParsedFile& pf,
-                                         const std::vector<Violation>& raw) {
+std::vector<Violation> ApplySuppressions(
+    const std::string& rel_path, const std::vector<Directive>& directives,
+    const std::vector<Violation>& raw) {
   std::vector<Violation> out;
   for (const Violation& v : raw) {
     bool suppressed = false;
-    for (const Suppression& sup : pf.sups) {
-      if (sup.rule != v.rule || !sup.has_reason) continue;
-      if (sup.line == v.line || (sup.owns_line && sup.line + 1 == v.line)) {
+    for (const Directive& d : directives) {
+      if (d.verb != "allow" || d.rule != v.rule || !d.has_reason) continue;
+      if (d.line == v.line || (d.owns_line && d.line + 1 == v.line)) {
         suppressed = true;
         break;
       }
@@ -128,17 +95,23 @@ std::vector<Violation> ApplySuppressions(const ParsedFile& pf,
     if (!suppressed) out.push_back(v);
   }
 
-  // Police the annotations themselves. These meta findings are never
+  // Police the directives themselves. These meta findings are never
   // suppressible: an escape hatch only stays trustworthy if every use of
-  // it carries a reviewable reason.
-  for (const Suppression& sup : pf.sups) {
-    if (!IsKnownRule(sup.rule)) {
-      out.push_back({"unknown-rule", pf.rel_path, sup.line,
-                     "hunterlint annotation names unknown rule '" +
-                         sup.rule + "' (see hunterlint --list-rules)"});
-    } else if (!sup.has_reason) {
-      out.push_back({"suppression-needs-reason", pf.rel_path, sup.line,
-                     "hunterlint: allow(" + sup.rule +
+  // it carries a reviewable reason, and a misspelled or unsupported
+  // directive must not sit in the tree doing nothing.
+  for (const Directive& d : directives) {
+    if (d.verb == "hot") continue;
+    if (d.verb != "allow") {
+      out.push_back({"unknown-rule", rel_path, d.line,
+                     "unknown hunterlint directive '" + d.verb +
+                         "' — the directives are allow(rule) and hot"});
+    } else if (!IsKnownRule(d.rule)) {
+      out.push_back({"unknown-rule", rel_path, d.line,
+                     "hunterlint annotation names unknown rule '" + d.rule +
+                         "' (see hunterlint --list-rules)"});
+    } else if (!d.has_reason) {
+      out.push_back({"suppression-needs-reason", rel_path, d.line,
+                     "hunterlint: allow(" + d.rule +
                          ") must be followed by a written reason"});
     }
   }
@@ -153,13 +126,24 @@ std::vector<Violation> ApplySuppressions(const ParsedFile& pf,
 
 std::vector<Violation> LintFile(const std::string& rel_path,
                                 const std::string& source) {
-  const ParsedFile pf = ParseSource(rel_path, source);
-  ProjectModel project;
-  MergeFileModel(pf.model, &project);
-  std::vector<LockEdge> edges;
-  std::vector<Violation> raw = RunFileRules(pf, project, &edges, {});
-  CheckDeadlockOrder(edges, &raw);
-  return ApplySuppressions(pf, raw);
+  const LexedFile lex = Lex(source);
+  std::vector<Directive> directives;
+  for (const Comment& comment : lex.comments) {
+    ParseDirectives(comment, &directives);
+  }
+  FileCtx ctx;
+  ctx.rel_path = rel_path;
+  ctx.lex = &lex;
+  const size_t dot = rel_path.find_last_of('.');
+  const std::string ext =
+      (dot == std::string::npos) ? "" : rel_path.substr(dot);
+  ctx.is_header = (ext == ".h" || ext == ".hpp");
+  for (const Directive& d : directives) {
+    if (d.verb == "hot") {
+      ctx.hot_lines.push_back(d.owns_line ? d.line + 1 : d.line);
+    }
+  }
+  return ApplySuppressions(rel_path, directives, RunRules(ctx));
 }
 
 std::vector<std::string> CollectFiles(const std::string& root,
@@ -193,44 +177,17 @@ std::vector<std::string> CollectFiles(const std::string& root,
 
 std::vector<Violation> LintTree(const std::string& root,
                                 const std::vector<std::string>& rel_paths) {
-  // Phase 1: lex and parse everything, merging each file's symbol table
-  // into the project model. `guarded_by` annotations live on field
-  // declarations in headers while the guarded accesses live in .cc files,
-  // so the rules cannot run until every file has been parsed.
   std::vector<Violation> out;
-  std::vector<ParsedFile> parsed;
-  ProjectModel project;
   for (const std::string& rel : rel_paths) {
-    const std::filesystem::path abs = std::filesystem::path(root) / rel;
-    std::ifstream in(abs, std::ios::binary);
+    std::ifstream in(std::filesystem::path(root) / rel, std::ios::binary);
     if (!in) {
       out.push_back({"io-error", rel, 0, "cannot open file"});
       continue;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    parsed.push_back(ParseSource(rel, buf.str()));
-    MergeFileModel(parsed.back().model, &project);
-  }
-
-  // Phase 2: run every rule per file against the merged model, collecting
-  // the lock-order edges globally; then attribute each deadlock-order
-  // finding back to the file that acquired the lock, so suppressions and
-  // per-file reporting behave exactly like any other rule.
-  std::vector<LockEdge> edges;
-  std::vector<std::vector<Violation>> per_file(parsed.size());
-  for (size_t i = 0; i < parsed.size(); ++i) {
-    per_file[i] = RunFileRules(parsed[i], project, &edges, {});
-  }
-  std::vector<Violation> deadlocks;
-  CheckDeadlockOrder(edges, &deadlocks);
-  for (size_t i = 0; i < parsed.size(); ++i) {
-    for (const Violation& v : deadlocks) {
-      if (v.path == parsed[i].rel_path) per_file[i].push_back(v);
-    }
-    std::vector<Violation> final_violations =
-        ApplySuppressions(parsed[i], per_file[i]);
-    out.insert(out.end(), final_violations.begin(), final_violations.end());
+    std::vector<Violation> file = LintFile(rel, buf.str());
+    out.insert(out.end(), file.begin(), file.end());
   }
   return out;
 }

@@ -1,52 +1,25 @@
 // hunterlint — static checks for HUNTER's determinism invariants.
 //
 // Usage:
-//   hunterlint [--root DIR] [--list-rules] [--format=text|json]
-//              [--baseline FILE] [--write-baseline FILE] [PATH...]
+//   hunterlint [--root DIR] [--list-rules] [PATH...]
 //
 // PATHs (files or directories, default: src tests bench examples) are
 // resolved against --root (default: current directory) and scanned for
 // .h/.hpp/.cc/.cpp/.cxx files.
 //
-// --format=json prints the canonical machine-readable report (consumed by
-// tools/lintdiff) to stdout instead of the human lines on stderr.
-// --baseline FILE forgives violations recorded in the ratchet file: for
-// each (path, rule) the first `count` findings pass, anything beyond fails,
-// so recorded debt is frozen and enforced non-increasing.
-// --write-baseline FILE records the current findings as the new baseline
-// (canonical bytes; writing then re-reading round-trips byte-identically).
-//
-// Exit status is 0 when the tree is clean (after the baseline, if any),
-// 1 when any unsuppressed violation is found, 2 on usage/IO errors.
+// Exit status is 0 when the tree is clean, 1 when any unsuppressed
+// violation is found — including a PATH that cannot be read, which is
+// reported as an `io-error` finding — and 2 on usage errors.
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "hunterlint/hunterlint.h"
-#include "hunterlint/report.h"
 #include "hunterlint/rules.h"
-
-namespace {
-
-bool ReadFileOrDie(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string format = "text";
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -57,26 +30,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       root = argv[++i];
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "text" && format != "json") {
-        std::fprintf(stderr,
-                     "hunterlint: --format must be text or json (got '%s')\n",
-                     format.c_str());
-        return 2;
-      }
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "hunterlint: --baseline needs a file\n");
-        return 2;
-      }
-      baseline_path = argv[++i];
-    } else if (arg == "--write-baseline") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "hunterlint: --write-baseline needs a file\n");
-        return 2;
-      }
-      write_baseline_path = argv[++i];
     } else if (arg == "--list-rules") {
       for (const std::string& rule : hunter::lint::AllRuleNames()) {
         std::printf("%-28s %s\n", rule.c_str(),
@@ -84,11 +37,7 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: hunterlint [--root DIR] [--list-rules] "
-          "[--format=text|json]\n"
-          "                  [--baseline FILE] [--write-baseline FILE] "
-          "[PATH...]\n");
+      std::printf("usage: hunterlint [--root DIR] [--list-rules] [PATH...]\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "hunterlint: unknown option '%s'\n", arg.c_str());
@@ -101,46 +50,8 @@ int main(int argc, char** argv) {
 
   const std::vector<std::string> files =
       hunter::lint::CollectFiles(root, paths);
-  std::vector<hunter::lint::Violation> violations =
+  const std::vector<hunter::lint::Violation> violations =
       hunter::lint::LintTree(root, files);
-
-  if (!write_baseline_path.empty()) {
-    const std::string bytes = hunter::lint::BaselineToJson(
-        hunter::lint::BaselineFromViolations(violations));
-    std::ofstream outf(write_baseline_path, std::ios::binary);
-    outf << bytes;
-    if (!outf) {
-      std::fprintf(stderr, "hunterlint: cannot write baseline '%s'\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    std::printf("hunterlint: wrote baseline of %zu violation(s) to %s\n",
-                violations.size(), write_baseline_path.c_str());
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::string bytes;
-    if (!ReadFileOrDie(baseline_path, &bytes)) {
-      std::fprintf(stderr, "hunterlint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::vector<hunter::lint::BaselineEntry> baseline;
-    std::string error;
-    if (!hunter::lint::ParseBaselineJson(bytes, &baseline, &error)) {
-      std::fprintf(stderr, "hunterlint: malformed baseline '%s': %s\n",
-                   baseline_path.c_str(), error.c_str());
-      return 2;
-    }
-    violations = hunter::lint::ApplyBaseline(violations, baseline);
-  }
-
-  if (format == "json") {
-    const std::string json = hunter::lint::ViolationsToJson(violations);
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    return violations.empty() ? 0 : 1;
-  }
 
   for (const hunter::lint::Violation& v : violations) {
     std::fprintf(stderr, "%s\n", hunter::lint::FormatViolation(v).c_str());

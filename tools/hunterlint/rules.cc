@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <unordered_set>
+#include <utility>
 
 namespace hunter::lint {
 
@@ -41,18 +43,35 @@ bool QualifiedStd(const TokenVec& toks, size_t i) {
   return i >= 2 && toks[i - 1].text == "::" && toks[i - 2].text == "std";
 }
 
+// The text of toks[i] when it is punctuation, else "" — so a "{" or ";"
+// inside a string or character literal never counts as structure.
+const std::string& PunctText(const TokenVec& toks, size_t i) {
+  static const std::string kEmpty;
+  if (i >= toks.size() || toks[i].kind != TokKind::kPunct) return kEmpty;
+  return toks[i].text;
+}
+
+// Index of the `)` or `}` closing the bracket at toks[open], or toks.size()
+// when it is unbalanced.
+size_t MatchClose(const TokenVec& toks, size_t open) {
+  const std::string& opener = PunctText(toks, open);
+  if (opener != "(" && opener != "{") return toks.size();
+  const std::string closer = opener == "(" ? ")" : "}";
+  int depth = 0;
+  for (size_t j = open; j < toks.size(); ++j) {
+    const std::string& t = PunctText(toks, j);
+    if (t == opener) ++depth;
+    else if (t == closer && --depth == 0) return j;
+  }
+  return toks.size();
+}
+
 // True when `name(` at toks[i] is a function declaration or definition
 // rather than a call: the token after the matching `)` is a definition
 // body, cv/ref/noexcept qualifier, trailing return, or `= default/delete`.
 // Lets a project member accessor legally be named `clock()` or `time()`.
 bool LooksLikeFunctionDecl(const TokenVec& toks, size_t i) {
-  size_t j = i + 1;
-  int depth = 0;
-  for (; j < toks.size(); ++j) {
-    if (toks[j].text == "(") ++depth;
-    else if (toks[j].text == ")" && --depth == 0) break;
-  }
-  const std::string& after = TokText(toks, j + 1);
+  const std::string& after = TokText(toks, MatchClose(toks, i + 1) + 1);
   return after == "{" || after == "const" || after == "override" ||
          after == "noexcept" || after == "final" || after == "->" ||
          after == "=" || after == "&" || after == "&&";
@@ -365,6 +384,39 @@ void CheckJournalEmit(const FileCtx& ctx, std::vector<Violation>* out) {
 }
 
 // ---------------------------------------------------------------------------
+// Loop bodies, shared by the two allocation-in-loop rules
+
+// Token ranges [first, last] of the bodies of the for, while and do loops
+// whose keyword lies in [from, to): a braced block up to its `}`, or a
+// single statement up to its `;`. Nested loops give nested ranges (callers
+// dedupe their findings), and the `while (...)` ending a do loop gives an
+// empty one.
+std::vector<std::pair<size_t, size_t>> LoopBodies(const TokenVec& toks,
+                                                  size_t from, size_t to) {
+  std::vector<std::pair<size_t, size_t>> bodies;
+  for (size_t i = from; i < to; ++i) {
+    if (toks[i].kind != TokKind::kIdentifier) continue;
+    const std::string& t = toks[i].text;
+    size_t first;
+    if ((t == "for" || t == "while") && PunctText(toks, i + 1) == "(") {
+      first = MatchClose(toks, i + 1) + 1;
+    } else if (t == "do" && PunctText(toks, i + 1) == "{") {
+      first = i + 1;
+    } else {
+      continue;
+    }
+    size_t last = first;
+    if (PunctText(toks, first) == "{") {
+      last = MatchClose(toks, first);
+    } else {
+      while (last < toks.size() && PunctText(toks, last) != ";") ++last;
+    }
+    if (last < toks.size()) bodies.emplace_back(first, last);
+  }
+  return bodies;
+}
+
+// ---------------------------------------------------------------------------
 // no-matrix-row-copy-in-loop
 
 // linalg::Matrix::Row() allocates a fresh std::vector per call; inside a
@@ -382,37 +434,8 @@ void CheckNoMatrixRowCopyInLoop(const FileCtx& ctx,
   // Token indices already flagged — a `.Row(` inside nested loops falls in
   // several bodies but must be reported once.
   std::unordered_set<size_t> flagged;
-  for (size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdentifier || toks[i].text != "for" ||
-        toks[i + 1].text != "(") {
-      continue;
-    }
-    // Matching close paren of the for header.
-    size_t close = 0;
-    int depth = 0;
-    for (size_t j = i + 1; j < toks.size(); ++j) {
-      if (toks[j].text == "(") ++depth;
-      else if (toks[j].text == ")" && --depth == 0) { close = j; break; }
-    }
-    if (close == 0 || close + 1 >= toks.size()) continue;
-    // Body token range: a braced block, or a single statement up to its
-    // `;`. (A nested braced loop as the single statement is still covered:
-    // the outer scan visits every `for` token independently.)
-    const size_t begin = close + 1;
-    size_t end = 0;
-    if (toks[begin].text == "{") {
-      int braces = 0;
-      for (size_t j = begin; j < toks.size(); ++j) {
-        if (toks[j].text == "{") ++braces;
-        else if (toks[j].text == "}" && --braces == 0) { end = j; break; }
-      }
-    } else {
-      for (size_t j = begin; j < toks.size(); ++j) {
-        if (toks[j].text == ";") { end = j; break; }
-      }
-    }
-    if (end == 0) continue;
-    for (size_t j = begin; j + 2 <= end; ++j) {
+  for (const auto& [first, last] : LoopBodies(toks, 0, toks.size())) {
+    for (size_t j = first; j + 2 <= last; ++j) {
       if ((toks[j].text == "." || toks[j].text == "->") &&
           TokText(toks, j + 1) == "Row" && IsIdent(toks, j + 1) &&
           TokText(toks, j + 2) == "(" && flagged.insert(j + 1).second) {
@@ -421,6 +444,94 @@ void CheckNoMatrixRowCopyInLoop(const FileCtx& ctx,
              "Matrix::Row() allocates a fresh vector every iteration — use "
              "the non-allocating RowView()/RowSpan in hot loops, or hoist "
              "the copy out of the loop"});
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// no-alloc-in-hot-loop
+
+struct HotFunction {
+  std::string name;
+  size_t body_first = 0;  // the body's `{`
+  size_t body_last = 0;   // its matching `}`
+};
+
+// The function definition a `// hunterlint: hot` directive targeting `line`
+// attaches to. The definition starts with the first token on that line, and
+// its body is the first `{` after a closed `(...)` and before any `;`. A
+// directive on a declaration, a class or namespace, or quoted in prose
+// attaches to nothing. The directive must sit on the definition: one on a
+// header declaration does not reach a body in another file.
+std::optional<HotFunction> HotFunctionAt(const TokenVec& toks, int line) {
+  const auto start = std::lower_bound(
+      toks.begin(), toks.end(), line,
+      [](const Token& t, int l) { return t.line < l; });
+  if (start == toks.end() || start->line != line) return std::nullopt;
+  HotFunction fn;
+  int depth = 0;
+  bool closed_parens = false;
+  for (size_t i = static_cast<size_t>(start - toks.begin()); i < toks.size();
+       ++i) {
+    const std::string& t = PunctText(toks, i);
+    if (t == "(") {
+      if (depth++ == 0 && fn.name.empty() && i > 0 && IsIdent(toks, i - 1)) {
+        fn.name = toks[i - 1].text;
+      }
+    } else if (t == ")") {
+      if (--depth < 0) return std::nullopt;
+      closed_parens = true;
+    } else if (depth == 0 && (t == ";" || t == "}")) {
+      return std::nullopt;
+    } else if (depth == 0 && t == "{") {
+      if (!closed_parens) return std::nullopt;
+      fn.body_first = i;
+      fn.body_last = MatchClose(toks, i);
+      if (fn.body_last == toks.size()) return std::nullopt;
+      return fn;
+    }
+  }
+  return std::nullopt;
+}
+
+// Allocation inside a loop of a hot function: `new`, a `.`/`->` call of
+// push_back/emplace_back/resize, or a std::vector constructed (not a
+// reference or pointer to one, and not a nested name like vector<T>::size).
+void CheckNoAllocInHotLoop(const FileCtx& ctx, std::vector<Violation>* out) {
+  const TokenVec& toks = ctx.lex->tokens;
+  std::unordered_set<size_t> flagged;
+  for (const int line : ctx.hot_lines) {
+    const std::optional<HotFunction> fn = HotFunctionAt(toks, line);
+    if (!fn) continue;
+    for (const auto& [first, last] :
+         LoopBodies(toks, fn->body_first, fn->body_last)) {
+      for (size_t i = first; i < last; ++i) {
+        if (toks[i].kind != TokKind::kIdentifier) continue;
+        const std::string& t = toks[i].text;
+        std::string what;
+        if (t == "new") {
+          what = "'new'";
+        } else if ((t == "push_back" || t == "emplace_back" ||
+                    t == "resize") &&
+                   i > first &&
+                   (toks[i - 1].text == "." || toks[i - 1].text == "->") &&
+                   TokText(toks, i + 1) == "(") {
+          what = "'" + t + "'";
+        } else if (t == "vector" && TokText(toks, i + 1) == "<") {
+          const std::string& after =
+              TokText(toks, SkipTemplateArgs(toks, i + 1));
+          if (after != "&" && after != "*" && after != "::") {
+            what = "std::vector construction";
+          }
+        }
+        if (what.empty() || !flagged.insert(i).second) continue;
+        out->push_back(
+            {"no-alloc-in-hot-loop", ctx.rel_path, toks[i].line,
+             what + " inside a loop of '" + fn->name +
+                 "' which is annotated '// hunterlint: hot' — hot paths "
+                 "must not allocate per iteration; hoist the buffer out of "
+                 "the loop"});
       }
     }
   }
@@ -539,9 +650,7 @@ const std::vector<std::string>& AllRuleNames() {
       "journal-emit-through-obs",
       "no-matrix-row-copy-in-loop",
       "no-raw-intrinsics-outside-simd",
-      "guarded-by",
       "no-alloc-in-hot-loop",
-      "deadlock-order",
       "header-guard",
       "no-using-namespace-header",
       "include-style",
@@ -573,7 +682,7 @@ std::string RuleDescription(const std::string& rule) {
            "outside src/obs/ — journal bytes must go through obs::Journal";
   }
   if (rule == "no-matrix-row-copy-in-loop") {
-    return "flags allocating Matrix::Row() calls inside for-loop bodies "
+    return "flags allocating Matrix::Row() calls inside loop bodies "
            "under src/ml/ and src/linalg/ — hot loops take the "
            "non-allocating RowView()/RowSpan instead";
   }
@@ -582,19 +691,10 @@ std::string RuleDescription(const std::string& rule) {
            "__m256d/...) outside src/linalg/simd/ and common/cpu.h — hot "
            "paths call the runtime-dispatched linalg::simd kernels";
   }
-  if (rule == "guarded-by") {
-    return "fields annotated '// hunterlint: guarded_by(mu_)' must only be "
-           "accessed with mu_ held (lock_guard/scoped_lock/unique_lock "
-           "scope tracking; '// hunterlint: requires(mu_)' for helpers)";
-  }
   if (rule == "no-alloc-in-hot-loop") {
     return "bans new/push_back/emplace_back/resize/std::vector "
            "construction inside loops of functions annotated "
            "'// hunterlint: hot'";
-  }
-  if (rule == "deadlock-order") {
-    return "builds the cross-file lock-acquisition order graph and fails "
-           "on cycles (and on re-acquiring a held lock)";
   }
   if (rule == "header-guard") {
     return "headers must start with #pragma once or a matched "
@@ -625,6 +725,7 @@ std::vector<Violation> RunRules(const FileCtx& ctx) {
   CheckJournalEmit(ctx, &out);
   CheckNoMatrixRowCopyInLoop(ctx, &out);
   CheckRawIntrinsics(ctx, &out);
+  CheckNoAllocInHotLoop(ctx, &out);
   if (ctx.is_header) {
     CheckHeaderGuard(ctx, &out);
     CheckUsingNamespaceHeader(ctx, &out);

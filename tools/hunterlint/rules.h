@@ -9,15 +9,16 @@
 //   no-naked-thread            all parallelism flows through common::ThreadPool
 //   no-unordered-iteration-emit  files that produce ordered output must not
 //                              range-for over unordered containers
+//   journal-emit-through-obs   run-journal bytes are produced only by
+//                              src/obs/
 //   no-matrix-row-copy-in-loop  ml/linalg hot loops must not call the
 //                              allocating Matrix::Row() per iteration —
 //                              they take the non-allocating RowView/RowSpan
-//   guarded-by                 fields annotated `guarded_by(mu_)` are only
-//                              accessed with mu_ held (semantic; sem.h)
+//   no-raw-intrinsics-outside-simd  vector intrinsics stay in
+//                              src/linalg/simd/ and common/cpu.h
 //   no-alloc-in-hot-loop       no new/push_back/resize/vector construction
-//                              in loops of `hot` functions (semantic)
-//   deadlock-order             the cross-file lock-acquisition graph has
-//                              no cycles (semantic)
+//                              in loops of functions annotated
+//                              `// hunterlint: hot`
 //   header-guard               headers carry #pragma once or a matched
 //                              #ifndef/#define include guard
 //   no-using-namespace-header  headers must not inject namespaces
@@ -25,7 +26,7 @@
 //                              ("dir/file.h"), never "file.h", "../x.h",
 //                              or absolute
 //
-// Two meta rules police the suppression mechanism itself and cannot be
+// Two meta rules police the directives themselves and cannot be
 // suppressed: suppression-needs-reason and unknown-rule.
 
 #ifndef HUNTER_TOOLS_HUNTERLINT_RULES_H_
@@ -49,6 +50,10 @@ struct FileCtx {
   std::string rel_path;  // repo-relative, forward slashes
   const LexedFile* lex = nullptr;
   bool is_header = false;
+  // Target lines of the file's `// hunterlint: hot` directives (the
+  // comment's own line, or the next one when the comment is alone on its
+  // line); no-alloc-in-hot-loop checks the definitions starting there.
+  std::vector<int> hot_lines;
 };
 
 // Names of all substantive rules, in reporting order. Does not include the
@@ -62,10 +67,8 @@ std::string RuleDescription(const std::string& rule);
 // only for substantive ones, but recognized so the error is precise).
 bool IsKnownRule(const std::string& rule);
 
-// Runs every token-level rule over the file. The semantic rule families
-// (guarded-by, no-alloc-in-hot-loop, deadlock-order) live in sem.h and need
-// the cross-file ProjectModel; the driver runs both sets. Suppressions are
-// NOT applied here; the driver matches them against annotations.
+// Runs every rule over the file. Suppressions are NOT applied here; the
+// driver matches them against annotations.
 std::vector<Violation> RunRules(const FileCtx& ctx);
 
 }  // namespace hunter::lint
