@@ -43,8 +43,6 @@ void BM_DdpgTrainStep(benchmark::State& state) {
     t.state.assign(13, rng.Uniform());
     t.action.assign(20, rng.Uniform());
     t.reward = rng.Uniform();
-    t.next_state = t.state;
-    t.terminal = true;
     agent.AddTransition(std::move(t));
   }
   for (auto _ : state) {

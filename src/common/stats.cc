@@ -1,6 +1,7 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace hunter::common {
@@ -72,5 +73,18 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
+
+std::vector<double> RunningStandardizer::Standardize(
+    const std::vector<double>& x) {
+  assert(x.size() == stats_.size());
+  std::vector<double> z(stats_.size());
+  for (size_t i = 0; i < stats_.size(); ++i) {
+    stats_[i].Add(x[i]);
+    const double stddev = stats_[i].stddev();
+    z[i] = std::clamp(
+        stddev > 1e-9 ? (x[i] - stats_[i].mean()) / stddev : 0.0, -5.0, 5.0);
+  }
+  return z;
+}
 
 }  // namespace hunter::common

@@ -57,6 +57,20 @@ class RunningStat {
   double max_ = 0.0;
 };
 
+// Running per-dimension standardization, one RunningStat per dimension:
+// Standardize(x) adds x, then returns each (x[i] - mean_i) / stddev_i
+// clamped to [-5, 5], or 0 where stddev_i <= 1e-9 (so all zeros after
+// the first sample). The DDPG tuners normalize their states with it.
+class RunningStandardizer {
+ public:
+  explicit RunningStandardizer(size_t dim) : stats_(dim) {}
+  // `x` must hold `dim` values.
+  std::vector<double> Standardize(const std::vector<double>& x);
+
+ private:
+  std::vector<RunningStat> stats_;
+};
+
 }  // namespace hunter::common
 
 #endif  // HUNTER_COMMON_STATS_H_

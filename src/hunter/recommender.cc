@@ -15,15 +15,14 @@ Recommender::Recommender(const cdb::KnobCatalog* catalog, const Rules* rules,
       options_(options),
       rng_(seed),
       noise_(space_.selected_knobs.size(), 0.15, options.ou_sigma_start),
-      best_fitness_(-std::numeric_limits<double>::infinity()) {
+      best_fitness_(-std::numeric_limits<double>::infinity()),
+      standardizer_(space_.state_dim) {
   options_.ddpg.state_dim = space_.state_dim;
   options_.ddpg.action_dim = space_.selected_knobs.size();
   agent_ = std::make_unique<ml::Ddpg>(options_.ddpg, &rng_);
   base_config_ = catalog_->NormalizeConfiguration(
       catalog_->DefaultConfiguration());
   state_.assign(space_.state_dim, 0.0);
-  state_mean_.assign(space_.state_dim, 0.0);
-  state_m2_.assign(space_.state_dim, 0.0);
 }
 
 std::vector<double> Recommender::ReducedAction(
@@ -44,37 +43,9 @@ std::vector<double> Recommender::ExpandAction(
   return rules_->Apply(*catalog_, std::move(full));
 }
 
-void Recommender::UpdateStateNormalization(
-    const std::vector<double>& encoded) {
-  ++state_count_;
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    const double delta = encoded[i] - state_mean_[i];
-    state_mean_[i] += delta / static_cast<double>(state_count_);
-    state_m2_[i] += delta * (encoded[i] - state_mean_[i]);
-  }
-}
-
-std::vector<double> Recommender::NormalizeState(
-    const std::vector<double>& encoded) const {
-  std::vector<double> normalized(encoded.size());
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    double stddev = 1.0;
-    if (state_count_ > 1) {
-      stddev =
-          std::sqrt(state_m2_[i] / static_cast<double>(state_count_ - 1));
-    }
-    const double z =
-        stddev > 1e-9 ? (encoded[i] - state_mean_[i]) / stddev : 0.0;
-    normalized[i] = std::clamp(z, -5.0, 5.0);
-  }
-  return normalized;
-}
-
 std::vector<double> Recommender::EncodeState(
     const std::vector<double>& metrics) {
-  const std::vector<double> encoded = space_.EncodeState(metrics);
-  UpdateStateNormalization(encoded);
-  return NormalizeState(encoded);
+  return standardizer_.Standardize(space_.EncodeState(metrics));
 }
 
 void Recommender::WarmStart(const std::vector<controller::Sample>& pool,
@@ -82,24 +53,18 @@ void Recommender::WarmStart(const std::vector<controller::Sample>& pool,
   if (!base_full_config.empty()) base_config_ = base_full_config;
   // Seed the replay buffer with the entire Shared Pool (the paper's key
   // hybrid-design decision: GA samples warm-start DDPG).
-  std::vector<double> previous_state(space_.state_dim, 0.0);
   for (const controller::Sample& sample : pool) {
-    std::vector<double> next_state = previous_state;
-    if (!sample.boot_failed) next_state = EncodeState(sample.metrics);
     ml::Transition transition;
-    transition.state = previous_state;
+    transition.state = state_;
     transition.action = ReducedAction(sample.knobs);
     transition.reward = sample.fitness;
-    transition.next_state = next_state;
-    transition.terminal = true;
     agent_->AddTransition(std::move(transition));
-    previous_state = next_state;
+    if (!sample.boot_failed) state_ = EncodeState(sample.metrics);
     if (!sample.boot_failed && sample.fitness > best_fitness_) {
       best_fitness_ = sample.fitness;
       best_action_ = ReducedAction(sample.knobs);
     }
   }
-  state_ = previous_state;
   for (int i = 0; i < options_.warm_start_updates; ++i) agent_->TrainStep();
 }
 
@@ -163,18 +128,14 @@ void Recommender::Observe(const std::vector<controller::Sample>& samples) {
     // index so the samples after it keep their own actions.
     if (sample.evaluation_failed) continue;
     ++usable;
-    std::vector<double> next_state = state_;
-    if (!sample.boot_failed) next_state = EncodeState(sample.metrics);
     ml::Transition transition;
     transition.state = state_;
     transition.action = i < last_reduced_actions_.size()
                             ? last_reduced_actions_[i]
                             : ReducedAction(sample.knobs);
     transition.reward = sample.fitness;
-    transition.next_state = next_state;
-    transition.terminal = true;
     agent_->AddTransition(std::move(transition));
-    state_ = next_state;
+    if (!sample.boot_failed) state_ = EncodeState(sample.metrics);
     ++steps_;
     if (!sample.boot_failed && sample.fitness > best_fitness_) {
       best_fitness_ = sample.fitness;

@@ -18,6 +18,7 @@
 
 #include "cdb/knob.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "controller/sample.h"
 #include "hunter/rules.h"
 #include "hunter/search_space_optimizer.h"
@@ -50,8 +51,10 @@ class Recommender {
               uint64_t seed);
 
   // Seeds the replay buffer with every Shared Pool sample and pre-trains —
-  // HUNTER's hybrid warm start. `base` becomes the frozen values of
-  // non-selected knobs (the best configuration found by the factory).
+  // HUNTER's hybrid warm start. Called once, on a fresh Recommender, so the
+  // replayed pool starts from the zero state. `base` becomes the frozen
+  // values of non-selected knobs (the best configuration found by the
+  // factory).
   void WarmStart(const std::vector<controller::Sample>& pool,
                  const std::vector<double>& base_full_config);
 
@@ -84,8 +87,6 @@ class Recommender {
   std::vector<double> EncodeState(const std::vector<double>& metrics);
   std::vector<double> ReducedAction(const std::vector<double>& full) const;
   std::vector<double> ExpandAction(const std::vector<double>& reduced) const;
-  void UpdateStateNormalization(const std::vector<double>& encoded);
-  std::vector<double> NormalizeState(const std::vector<double>& encoded) const;
 
   const cdb::KnobCatalog* catalog_;
   const Rules* rules_;
@@ -100,11 +101,7 @@ class Recommender {
   double best_fitness_;
   std::vector<double> state_;         // normalized encoded state
   std::vector<std::vector<double>> last_reduced_actions_;
-
-  // Running normalization of the encoded state.
-  std::vector<double> state_mean_;
-  std::vector<double> state_m2_;
-  size_t state_count_ = 0;
+  common::RunningStandardizer standardizer_;  // of the encoded state
   size_t steps_ = 0;
 };
 

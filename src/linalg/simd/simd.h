@@ -1,8 +1,8 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
 // paths: the GEMM micro-kernels, the elementwise Matrix ops, the GP
 // squared-distance expansion and many-right-hand-side forward substitution,
-// PCA centering/standardization, and the MLP activation / gradient / Adam /
-// soft-update loops.
+// PCA centering/standardization, and the MLP activation / gradient / Adam
+// loops.
 //
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
@@ -138,12 +138,6 @@ void SubIntoAvx2(const double* x, const double* y, double* out, size_t n);
 void ScaleIntoScalar(const double* x, double factor, double* out, size_t n);
 void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n);
 
-// dst[i] = tau * src[i] + (1 - tau) * dst[i]
-void SoftUpdateInPlaceScalar(double tau, const double* src, double* dst,
-                             size_t n);
-void SoftUpdateInPlaceAvx2(double tau, const double* src, double* dst,
-                           size_t n);
-
 // One Adam step over a parameter span, replicating the Mlp update
 // expression by expression:
 //   g       = grads[i] * scale
@@ -248,12 +242,6 @@ inline void SubInto(const double* x, const double* y, double* out, size_t n) {
 inline void ScaleInto(const double* x, double factor, double* out, size_t n) {
   if (DispatchAvx2()) ScaleIntoAvx2(x, factor, out, n);
   else ScaleIntoScalar(x, factor, out, n);
-}
-
-inline void SoftUpdateInPlace(double tau, const double* src, double* dst,
-                              size_t n) {
-  if (DispatchAvx2()) SoftUpdateInPlaceAvx2(tau, src, dst, n);
-  else SoftUpdateInPlaceScalar(tau, src, dst, n);
 }
 
 inline void AdamUpdateInPlace(double* p, const double* grads, double* m,

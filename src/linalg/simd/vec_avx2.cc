@@ -50,20 +50,6 @@ void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
   for (; i < n; ++i) out[i] = x[i] * factor;
 }
 
-void SoftUpdateInPlaceAvx2(double tau, const double* src, double* dst,
-                           size_t n) {
-  const double one_minus_tau = 1.0 - tau;
-  const __m256d tv = _mm256_set1_pd(tau);
-  const __m256d ov = _mm256_set1_pd(one_minus_tau);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_mul_pd(tv, _mm256_loadu_pd(src + i));
-    const __m256d b = _mm256_mul_pd(ov, _mm256_loadu_pd(dst + i));
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(a, b));
-  }
-  for (; i < n; ++i) dst[i] = tau * src[i] + one_minus_tau * dst[i];
-}
-
 void AdamUpdateInPlaceAvx2(double* p, const double* grads, double* m,
                            double* v, size_t n, double scale, double lr,
                            double beta1, double beta2, double bias1,
@@ -341,10 +327,6 @@ void SubIntoAvx2(const double* x, const double* y, double* out, size_t n) {
 }
 void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
   ScaleIntoScalar(x, factor, out, n);
-}
-void SoftUpdateInPlaceAvx2(double tau, const double* src, double* dst,
-                           size_t n) {
-  SoftUpdateInPlaceScalar(tau, src, dst, n);
 }
 void AdamUpdateInPlaceAvx2(double* p, const double* grads, double* m,
                            double* v, size_t n, double scale, double lr,

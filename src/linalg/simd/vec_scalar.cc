@@ -23,14 +23,6 @@ void ScaleIntoScalar(const double* x, double factor, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] * factor;
 }
 
-void SoftUpdateInPlaceScalar(double tau, const double* src, double* dst,
-                             size_t n) {
-  const double one_minus_tau = 1.0 - tau;
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = tau * src[i] + one_minus_tau * dst[i];
-  }
-}
-
 void AdamUpdateInPlaceScalar(double* p, const double* grads, double* m,
                              double* v, size_t n, double scale, double lr,
                              double beta1, double beta2, double bias1,

@@ -51,8 +51,6 @@ Ddpg::Ddpg(const DdpgOptions& options, common::Rng* rng)
   critic_ = Mlp(BuildSizes(options.state_dim + options.action_dim,
                            options.critic_hidden, 1),
                 Activation::kReLU, Activation::kLinear, &init_rng);
-  target_actor_ = actor_;
-  target_critic_ = critic_;
 }
 
 std::vector<double> Ddpg::Act(const std::vector<double>& state) const {
@@ -76,45 +74,23 @@ double Ddpg::TrainStep() {
 
   // Gather the minibatch into the state / state‖action arenas.
   b_states_.Reshape(batch, s_dim);
-  b_next_states_.Reshape(batch, s_dim);
   b_sa_.Reshape(batch, s_dim + a_dim);
-  b_target_.resize(batch);
   for (size_t r = 0; r < batch; ++r) {
     const Transition& t = buffer_.at(batch_indices_[r]);
     std::copy(t.state.begin(), t.state.end(), b_states_.Data() + r * s_dim);
-    std::copy(t.next_state.begin(), t.next_state.end(),
-              b_next_states_.Data() + r * s_dim);
     double* sa_row = b_sa_.Data() + r * (s_dim + a_dim);
     std::copy(t.state.begin(), t.state.end(), sa_row);
     std::copy(t.action.begin(), t.action.end(), sa_row + s_dim);
   }
 
-  // ---- TD targets: y = r + gamma * Q'(s', mu'(s')). Terminal rows still
-  // flow through the target nets (their next_q is simply unused), which
-  // keeps the pass rectangular.
-  target_actor_.ForwardBatch(b_next_states_, &b_tanh_);
-  b_next_sa_.Reshape(batch, s_dim + a_dim);
-  for (size_t r = 0; r < batch; ++r) {
-    double* row = b_next_sa_.Data() + r * (s_dim + a_dim);
-    std::copy(b_next_states_.Data() + r * s_dim,
-              b_next_states_.Data() + (r + 1) * s_dim, row);
-    linalg::simd::ClampUnitFromTanhInto(b_tanh_.Data() + r * a_dim,
-                                        row + s_dim, a_dim);
-  }
-  target_critic_.ForwardBatch(b_next_sa_, &b_next_q_);
-  for (size_t r = 0; r < batch; ++r) {
-    const Transition& t = buffer_.at(batch_indices_[r]);
-    b_target_[r] = t.reward +
-                   (t.terminal ? 0.0 : options_.gamma * b_next_q_.At(r, 0));
-  }
-
-  // ---- Critic update.
+  // ---- Critic update: regress Q(s, a) onto the reward.
   double total_loss = 0.0;
   critic_.ZeroGradients();
   critic_.ForwardBatch(b_sa_, &b_q_);
   b_grad_q_.Reshape(batch, 1);
   for (size_t r = 0; r < batch; ++r) {
-    const double error = b_q_.At(r, 0) - b_target_[r];
+    const double error =
+        b_q_.At(r, 0) - buffer_.at(batch_indices_[r]).reward;
     total_loss += error * error;
     b_grad_q_.At(r, 0) = 2.0 * error;
   }
@@ -150,16 +126,12 @@ double Ddpg::TrainStep() {
   actor_.BackwardBatch(b_grad_action_, nullptr);
   actor_.AdamStep(options_.actor_lr, batch);
 
-  // ---- Soft target updates.
-  target_actor_.SoftUpdateFrom(actor_, options_.tau);
-  target_critic_.SoftUpdateFrom(critic_, options_.tau);
-
   return total_loss / static_cast<double>(batch);
 }
 
 double Ddpg::EvaluateQ(const std::vector<double>& state,
                        const std::vector<double>& action) const {
-  return target_critic_.Predict(Concat(state, action))[0];
+  return critic_.Predict(Concat(state, action))[0];
 }
 
 std::vector<double> Ddpg::SaveParameters() const {
@@ -176,12 +148,8 @@ bool Ddpg::LoadParameters(const std::vector<double>& params) {
     return false;
   }
   const auto split = params.begin() + static_cast<long>(actor_size);
-  const bool loaded =
-      actor_.LoadParameters(std::vector<double>(params.begin(), split)) &&
-      critic_.LoadParameters(std::vector<double>(split, params.end()));
-  target_actor_.CopyFrom(actor_);
-  target_critic_.CopyFrom(critic_);
-  return loaded;
+  return actor_.LoadParameters(std::vector<double>(params.begin(), split)) &&
+         critic_.LoadParameters(std::vector<double>(split, params.end()));
 }
 
 }  // namespace hunter::ml

@@ -1,11 +1,15 @@
 // Deep Deterministic Policy Gradient (Lillicrap et al. 2015), the DRL
-// algorithm at the core of both CDBTune and HUNTER's Recommender (§3.3).
+// algorithm at the core of both CDBTune and HUNTER's Recommender (§3.3), in
+// the one-step form both tuners run.
 //
 // The agent maps a (possibly PCA-compressed) metric vector `state` to a
-// normalized knob configuration `action` in [0,1]^k. The critic learns
-// Q(s, a); the actor follows the deterministic policy gradient by ascending
-// dQ/da through the critic. Target networks with soft updates stabilize the
-// bootstrap target.
+// normalized knob configuration `action` in [0,1]^k. The critic fits
+// Q(s, a) to the reward; the actor follows the deterministic policy
+// gradient by ascending dQ/da through the critic. Each stress test is a
+// one-step episode: bootstrapping a long-horizon return across independent
+// configuration trials would couple unrelated decisions. So a transition
+// has no next state, the critic's target is the reward itself, and there
+// are no target networks, discount or soft-update rate.
 
 #ifndef HUNTER_ML_DDPG_H_
 #define HUNTER_ML_DDPG_H_
@@ -27,8 +31,6 @@ struct DdpgOptions {
   std::vector<size_t> critic_hidden = {64, 64};
   double actor_lr = 1e-3;
   double critic_lr = 2e-3;
-  double gamma = 0.9;   // discount
-  double tau = 0.01;    // soft target-update rate
   size_t batch_size = 16;
   size_t replay_capacity = 100000;
   // Bound on each element of the actor's action gradient, |0.5 * dQ/da|;
@@ -45,16 +47,16 @@ class Ddpg {
 
   void AddTransition(Transition transition);
 
-  // Performs one minibatch update of critic and actor plus soft target
-  // updates, each pass one batched GEMM per layer over preallocated arenas.
-  // Returns the critic's mean squared TD error (0 if the buffer is empty,
-  // when nothing trains). Deterministic given the RNG state;
-  // tests/ml/ddpg_test.cc pins its bits as golden digests.
+  // Performs one minibatch update of the critic, then of the actor, each
+  // pass one batched GEMM per layer over preallocated arenas. Returns the
+  // critic's mean squared error against the sampled rewards (0 if the
+  // buffer is empty, when nothing trains). Deterministic given the RNG
+  // state; tests/ml/ddpg_test.cc pins its bits as golden digests.
   double TrainStep();
   // Minibatch updates that actually ran (empty-buffer calls excluded).
   size_t train_steps() const { return train_steps_; }
 
-  // Target-critic estimate of Q(s, a) — used by tests and diagnostics.
+  // The critic's estimate of Q(s, a) — used by tests and diagnostics.
   double EvaluateQ(const std::vector<double>& state,
                    const std::vector<double>& action) const;
 
@@ -73,22 +75,16 @@ class Ddpg {
   common::Rng rng_;
   Mlp actor_;
   Mlp critic_;
-  Mlp target_actor_;
-  Mlp target_critic_;
   ReplayBuffer buffer_;
   size_t train_steps_ = 0;
 
   // Sampled minibatch indices and training arenas, reused across steps so
   // the steady-state train loop allocates nothing.
   std::vector<size_t> batch_indices_;
-  std::vector<double> b_target_;       // TD targets, one per row
   linalg::Matrix b_states_;            // batch x S
-  linalg::Matrix b_next_states_;       // batch x S
   linalg::Matrix b_sa_;                // batch x (S+A), state ‖ action
-  linalg::Matrix b_next_sa_;           // batch x (S+A)
   linalg::Matrix b_tanh_;              // batch x A (actor tanh output)
   linalg::Matrix b_q_;                 // batch x 1
-  linalg::Matrix b_next_q_;            // batch x 1
   linalg::Matrix b_grad_q_;            // batch x 1
   linalg::Matrix b_grad_sa_;           // batch x (S+A), dQ/d(s‖a)
   linalg::Matrix b_grad_action_;       // batch x A

@@ -206,35 +206,6 @@ void Mlp::ZeroGradients() {
   }
 }
 
-void Mlp::SoftUpdateFrom(const Mlp& other, double tau) {
-  assert(layers_.size() == other.layers_.size());
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    Layer& dst = layers_[li];
-    const Layer& src = other.layers_[li];
-    assert(dst.weights.size() == src.weights.size());
-    linalg::simd::SoftUpdateInPlace(tau, src.weights.data(),
-                                    dst.weights.data(), dst.weights.size());
-    linalg::simd::SoftUpdateInPlace(tau, src.bias.data(), dst.bias.data(),
-                                    dst.out);
-    if (dst.weights_t_valid && src.weights_t_valid) {
-      // The transpose cache is a position permutation of the weights, and
-      // the elementwise soft update commutes with any permutation: updating
-      // the cached transposes directly gives bit-identical contents to
-      // invalidating and re-gathering, while trading a scattered O(in*out)
-      // transpose at the next forward for one streaming pass here. In the
-      // DDPG training loop (soft update every step) this keeps the target
-      // networks' caches permanently warm.
-      linalg::simd::SoftUpdateInPlace(tau, src.weights_t.Data(),
-                                      dst.weights_t.Data(),
-                                      dst.weights.size());
-    } else {
-      dst.weights_t_valid = false;
-    }
-  }
-}
-
-void Mlp::CopyFrom(const Mlp& other) { SoftUpdateFrom(other, 1.0); }
-
 std::vector<double> Mlp::SaveParameters() const {
   std::vector<double> params;
   for (const Layer& layer : layers_) {

@@ -1,9 +1,8 @@
 // A small fully-connected network with Adam, sufficient for DDPG's actor and
 // critic (the paper's Recommender trains two MLPs; CDBTune uses the same).
 // Supports minibatch forward and backward (returning the gradient w.r.t. the
-// input, which DDPG's actor update needs to pull dQ/da out of the critic),
-// soft target updates, and parameter (de)serialization for the model-reuse
-// schemes (§4).
+// input, which DDPG's actor update needs to pull dQ/da out of the critic)
+// and parameter (de)serialization for the model-reuse schemes (§4).
 //
 // Training has one path: ForwardBatch/BackwardBatch run each pass as one
 // GEMM over a (batch x dim) matrix, with per-layer scratch arenas reused
@@ -38,7 +37,7 @@ class Mlp {
       Activation output, common::Rng* rng);
 
   // Forward pass on a single example, without touching the training arenas
-  // (safe for target nets and concurrent evaluation after training).
+  // (safe for concurrent evaluation after training).
   std::vector<double> Predict(const std::vector<double>& input) const;
 
   // Minibatch forward: `input` is (batch x in), `*output` becomes
@@ -65,12 +64,6 @@ class Mlp {
   void AdamStep(double learning_rate, size_t batch_size);
 
   void ZeroGradients();
-
-  // this = tau * other + (1 - tau) * this (per parameter). Shapes must match.
-  void SoftUpdateFrom(const Mlp& other, double tau);
-
-  // Hard copy of the other network's parameters (shapes must match).
-  void CopyFrom(const Mlp& other);
 
   // Flattened parameter vector (weights then biases per layer), used by the
   // model-reuse schemes to save/restore a Recommender. LoadParameters

@@ -13,12 +13,11 @@
 
 namespace hunter::ml {
 
+// One stress test: a one-step episode (see ml/ddpg.h), so no next state.
 struct Transition {
   std::vector<double> state;
   std::vector<double> action;
   double reward = 0.0;
-  std::vector<double> next_state;
-  bool terminal = false;
 };
 
 class ReplayBuffer {

@@ -1,7 +1,6 @@
 #include "tuners/cdbtune.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace hunter::tuners {
 
@@ -10,46 +9,25 @@ CdbTuneTuner::CdbTuneTuner(size_t num_metrics, size_t num_knobs,
                            const CdbTuneOptions& options, uint64_t seed,
                            std::string display_name)
     : display_name_(std::move(display_name)),
-      num_metrics_(num_metrics),
       workload_features_(std::move(workload_features)),
       options_(options),
       rng_(seed),
       noise_(num_knobs, 0.15, options.noise_sigma_start),
-      metric_mean_(num_metrics, 0.0),
-      metric_m2_(num_metrics, 0.0) {
+      standardizer_(num_metrics) {
   options_.ddpg.state_dim = num_metrics + workload_features_.size();
   options_.ddpg.action_dim = num_knobs;
   agent_ = std::make_unique<ml::Ddpg>(options_.ddpg, &rng_);
   state_.assign(options_.ddpg.state_dim, 0.0);
   // Workload features are static; bake them into the initial state tail.
   std::copy(workload_features_.begin(), workload_features_.end(),
-            state_.begin() + static_cast<long>(num_metrics_));
-}
-
-void CdbTuneTuner::UpdateNormalization(const std::vector<double>& metrics) {
-  ++metric_count_;
-  for (size_t i = 0; i < num_metrics_; ++i) {
-    const double delta = metrics[i] - metric_mean_[i];
-    metric_mean_[i] += delta / static_cast<double>(metric_count_);
-    metric_m2_[i] += delta * (metrics[i] - metric_mean_[i]);
-  }
+            state_.begin() + static_cast<long>(num_metrics));
 }
 
 std::vector<double> CdbTuneTuner::EncodeState(
-    const std::vector<double>& metrics) const {
-  std::vector<double> state(num_metrics_ + workload_features_.size(), 0.0);
-  for (size_t i = 0; i < num_metrics_; ++i) {
-    double stddev = 1.0;
-    if (metric_count_ > 1) {
-      stddev = std::sqrt(metric_m2_[i] /
-                         static_cast<double>(metric_count_ - 1));
-    }
-    const double z =
-        stddev > 1e-9 ? (metrics[i] - metric_mean_[i]) / stddev : 0.0;
-    state[i] = std::clamp(z, -5.0, 5.0);
-  }
-  std::copy(workload_features_.begin(), workload_features_.end(),
-            state.begin() + static_cast<long>(num_metrics_));
+    const std::vector<double>& metrics) {
+  std::vector<double> state = standardizer_.Standardize(metrics);
+  state.insert(state.end(), workload_features_.begin(),
+               workload_features_.end());
   return state;
 }
 
@@ -82,23 +60,13 @@ std::vector<std::vector<double>> CdbTuneTuner::Propose(size_t count) {
 void CdbTuneTuner::Observe(const std::vector<controller::Sample>& samples) {
   for (size_t i = 0; i < samples.size(); ++i) {
     const controller::Sample& sample = samples[i];
-    std::vector<double> next_state = state_;
-    if (!sample.boot_failed) {
-      UpdateNormalization(sample.metrics);
-      next_state = EncodeState(sample.metrics);
-    }
     ml::Transition transition;
     transition.state = state_;
     transition.action =
         i < last_actions_.size() ? last_actions_[i] : sample.knobs;
     transition.reward = sample.fitness;
-    transition.next_state = next_state;
-    // Each stress test is treated as a one-step episode: bootstrapping a
-    // long-horizon return across independent configuration trials would
-    // couple unrelated decisions.
-    transition.terminal = true;
     agent_->AddTransition(std::move(transition));
-    state_ = next_state;
+    if (!sample.boot_failed) state_ = EncodeState(sample.metrics);
     ++steps_;
   }
   // Bounded per round, not per sample (see Recommender::Observe).

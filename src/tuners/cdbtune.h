@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "ml/ddpg.h"
 #include "ml/ou_noise.h"
 #include "tuners/tuner.h"
@@ -45,21 +46,18 @@ class CdbTuneTuner : public Tuner {
   ml::Ddpg& agent() { return *agent_; }
 
  private:
-  std::vector<double> EncodeState(const std::vector<double>& metrics) const;
-  void UpdateNormalization(const std::vector<double>& metrics);
+  // Standardizes the metrics (updating the running statistics first) and
+  // appends the workload features.
+  std::vector<double> EncodeState(const std::vector<double>& metrics);
   double CurrentSigma() const;
 
   std::string display_name_;
-  size_t num_metrics_;
   std::vector<double> workload_features_;
   CdbTuneOptions options_;
   common::Rng rng_;
   std::unique_ptr<ml::Ddpg> agent_;
   ml::OuNoise noise_;
-  // Running metric normalization (Welford).
-  std::vector<double> metric_mean_;
-  std::vector<double> metric_m2_;
-  size_t metric_count_ = 0;
+  common::RunningStandardizer standardizer_;  // of the metrics
   std::vector<double> state_;              // current encoded state
   std::vector<std::vector<double>> last_actions_;
   size_t steps_ = 0;

@@ -101,5 +101,21 @@ TEST(RunningStatTest, SingleValueHasZeroVariance) {
   EXPECT_DOUBLE_EQ(rs.mean(), 3.0);
 }
 
+TEST(RunningStandardizerTest, ClampedZScoresOfTheRunningStatistics) {
+  RunningStandardizer standardizer(2);
+  // The first sample is its own mean: all zeros.
+  EXPECT_EQ(standardizer.Standardize({4.0, -1.0}),
+            (std::vector<double>{0.0, 0.0}));
+  const std::vector<double> z = standardizer.Standardize({6.0, -1.0});
+  // Mean 5, sample stddev sqrt(2): z = 1 / sqrt(2); a constant column
+  // (stddev 0) stays 0.
+  EXPECT_DOUBLE_EQ(z[0], 1.0 / std::sqrt(2.0));
+  EXPECT_EQ(z[1], 0.0);
+  // An outlier is clamped to 5 standard deviations.
+  for (int i = 0; i < 200; ++i) standardizer.Standardize({5.0, -1.0});
+  EXPECT_EQ(standardizer.Standardize({1e6, -1.0})[0], 5.0);
+  EXPECT_EQ(standardizer.Standardize({-1e6, -1.0})[0], -5.0);
+}
+
 }  // namespace
 }  // namespace hunter::common

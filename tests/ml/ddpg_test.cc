@@ -54,8 +54,6 @@ TEST(DdpgTest, CriticLossDecreasesOnStationaryData) {
     t.state = {0.5, 0.5, 0.5};
     t.action = {data_rng.Uniform(), data_rng.Uniform()};
     t.reward = 1.0 - std::abs(t.action[0] - 0.7) - std::abs(t.action[1] - 0.3);
-    t.next_state = t.state;
-    t.terminal = true;
     agent.AddTransition(std::move(t));
   }
   double early = 0.0, late = 0.0;
@@ -77,8 +75,6 @@ TEST(DdpgTest, ActorMovesTowardHighRewardAction) {
     t.state = {data_rng.Uniform(), data_rng.Uniform(), data_rng.Uniform()};
     t.action = {data_rng.Uniform(), data_rng.Uniform()};
     t.reward = 1.0 - std::abs(t.action[0] - 0.8) - std::abs(t.action[1] - 0.2);
-    t.next_state = t.state;
-    t.terminal = true;
     agent.AddTransition(std::move(t));
   }
   for (int i = 0; i < 1500; ++i) agent.TrainStep();
@@ -97,8 +93,6 @@ TEST(DdpgTest, QValueReflectsRewardOrdering) {
     const double a = data_rng.Uniform();
     t.action = {a, a};
     t.reward = a;  // higher action -> higher reward
-    t.next_state = t.state;
-    t.terminal = true;
     agent.AddTransition(std::move(t));
   }
   for (int i = 0; i < 800; ++i) agent.TrainStep();
@@ -130,7 +124,6 @@ TEST(DdpgTest, DeterministicGivenSeed) {
       t.state = {data_rng.Uniform(), 0.5, 0.5};
       t.action = {data_rng.Uniform(), data_rng.Uniform()};
       t.reward = t.action[0];
-      t.next_state = t.state;
       agent.AddTransition(std::move(t));
     }
     for (int i = 0; i < 50; ++i) agent.TrainStep();
@@ -147,8 +140,8 @@ std::vector<double> UniformVector(common::Rng* rng, size_t n, double lo,
 }
 
 // FNV-1a over every per-step loss, then the trained SaveParameters(), then
-// the policy's action for one probe state. About half of the 160 prefilled
-// transitions are non-terminal, so the TD-target pass reaches the losses.
+// the policy's action for one probe state, after training on 160 prefilled
+// one-step transitions.
 uint64_t TrainingDigest(const DdpgOptions& options, int steps) {
   common::Rng rng(41);
   Ddpg agent(options, &rng);
@@ -158,8 +151,6 @@ uint64_t TrainingDigest(const DdpgOptions& options, int steps) {
     t.state = UniformVector(&data_rng, options.state_dim, -1.0, 1.0);
     t.action = UniformVector(&data_rng, options.action_dim, 0.0, 1.0);
     t.reward = data_rng.Uniform(-1.0, 1.0);
-    t.next_state = UniformVector(&data_rng, options.state_dim, -1.0, 1.0);
-    t.terminal = data_rng.Bernoulli(0.5);
     agent.AddTransition(std::move(t));
   }
   BitDigest digest;
@@ -180,9 +171,13 @@ DdpgOptions Shape(size_t state_dim, size_t action_dim, size_t hidden) {
   return options;
 }
 
-// The digests were recorded from the batched TrainStep and from the former
-// per-sample path, which agreed bit for bit at both SIMD tiers. They pin
-// this platform's libm tanh as well.
+// The digests were recorded with the former DDPG, which still had target
+// networks and a TD-target pass, on this same data with each transition's
+// next state set to its state and marked terminal, so every TD target was
+// the reward alone. That recording gave the same bits with and without
+// HUNTER_FORCE_SCALAR=1, and the one-step TrainStep reproduces them: the
+// target networks never changed a one-step update. The digests pin this
+// platform's libm tanh as well.
 TEST(DdpgTest, TrainingMatchesGoldenDigest) {
   // The default grad_clip (5.0) never binds on this data, so one case
   // clips at 0.01 to pin the clamp too.
@@ -195,15 +190,35 @@ TEST(DdpgTest, TrainingMatchesGoldenDigest) {
     uint64_t digest;
   };
   const Case cases[] = {
-      {"small", SmallOptions(), 40, 0x8c094847b4f1f939ull},
-      {"hunter", Shape(13, 20, 64), 20, 0xef29b41a526bfedcull},
-      {"cdbtune", Shape(63, 65, 64), 10, 0xda383b6b5da7b991ull},
-      {"small_clipped", clipped, 40, 0xad2a71b26e0ba3d9ull},
+      {"small", SmallOptions(), 40, 0xd92e99d2fda06188ull},
+      {"hunter", Shape(13, 20, 64), 20, 0x9f0ad805949d6320ull},
+      {"cdbtune", Shape(63, 65, 64), 10, 0x8950b1891f23e64cull},
+      {"small_clipped", clipped, 40, 0x73dea01fb6e81168ull},
   };
   for (const Case& c : cases) {
     EXPECT_EQ(TrainingDigest(c.options, c.steps), c.digest)
         << c.name << " digest 0x" << std::hex
         << TrainingDigest(c.options, c.steps);
+  }
+}
+
+// The critic regresses onto the reward alone, and EvaluateQ reads the
+// critic that trains: with one transition and batch 1, each step's loss is
+// the squared error that EvaluateQ shows just before it. The check is
+// exact because a ForwardBatch row equals Predict bit for bit.
+TEST(DdpgTest, CriticRegressesOntoTheRewardAlone) {
+  DdpgOptions options = SmallOptions();
+  options.batch_size = 1;
+  common::Rng rng(9);
+  Ddpg agent(options, &rng);
+  Transition t;
+  t.state = {0.2, -0.4, 0.7};
+  t.action = {0.3, 0.6};
+  t.reward = 0.625;
+  agent.AddTransition(t);
+  for (int step = 0; step < 25; ++step) {
+    const double e = agent.EvaluateQ(t.state, t.action) - t.reward;
+    EXPECT_EQ(agent.TrainStep(), e * e) << "step " << step;
   }
 }
 

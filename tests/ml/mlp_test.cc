@@ -111,27 +111,6 @@ TEST(MlpTest, BackwardGradientMatchesFiniteDifference) {
   }
 }
 
-TEST(MlpTest, SoftUpdateMovesTowardSource) {
-  common::Rng rng(6);
-  Mlp a({2, 4, 1}, Activation::kReLU, Activation::kLinear, &rng);
-  Mlp b({2, 4, 1}, Activation::kReLU, Activation::kLinear, &rng);
-  const auto before = b.Predict({0.5, 0.5})[0];
-  const auto target = a.Predict({0.5, 0.5})[0];
-  for (int i = 0; i < 400; ++i) b.SoftUpdateFrom(a, 0.05);
-  const auto after = b.Predict({0.5, 0.5})[0];
-  EXPECT_LT(std::abs(after - target), std::abs(before - target) + 1e-9);
-  EXPECT_NEAR(after, target, 1e-3);
-}
-
-TEST(MlpTest, CopyFromReplicatesExactly) {
-  common::Rng rng(7);
-  Mlp a({3, 8, 2}, Activation::kReLU, Activation::kTanh, &rng);
-  Mlp b({3, 8, 2}, Activation::kReLU, Activation::kTanh, &rng);
-  b.CopyFrom(a);
-  const std::vector<double> x = {0.1, 0.9, -0.5};
-  EXPECT_EQ(a.Predict(x), b.Predict(x));
-}
-
 TEST(MlpTest, SaveLoadRoundTrip) {
   common::Rng rng(8);
   Mlp a({4, 10, 3}, Activation::kReLU, Activation::kTanh, &rng);

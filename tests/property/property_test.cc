@@ -2,6 +2,7 @@
 // catalogs, alpha preferences, and random configurations.
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,18 @@
 #include "workload/workloads.h"
 
 namespace hunter {
+namespace cdb {
+
+// gtest finds this printer by argument-dependent lookup and prints it as
+// the test parameter in each test's listed name. Without it, the name
+// carries a raw byte dump of the profile that includes the name string's
+// heap pointer, so the ctest names changed from one discovery to the next.
+void PrintTo(const WorkloadProfile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
+}  // namespace cdb
+
 namespace {
 
 // ---------------------------------------------------------------- catalogs

@@ -4,7 +4,10 @@
 #   1. configure + build with HUNTER_WERROR=ON (-Werror -Wshadow -Wconversion
 #      on top of the always-on -Wall -Wextra)
 #   2. hunterlint over src/ tests/ bench/ examples/: zero findings
-#   3. the full tier-1 ctest suite (includes the `lint` and `perf` labels)
+#   3. the full tier-1 ctest suite (includes the `lint` and `perf` labels),
+#      then a check that no listed test name carries a gtest raw byte dump
+#      (`N-byte object <...>`, printed for a parameter type without a
+#      PrintTo), whose bytes can change between discoveries
 #   4. the hot-path micro-benchmarks in smoke mode: one rep per benchmark,
 #      gating on the golden equivalence checks (optimized paths must match
 #      their seed-faithful reference implementations — the *_simd gates at
@@ -39,6 +42,11 @@ echo "== [2/9] hunterlint (zero findings) =="
 
 echo "== [3/9] tier-1 tests =="
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
+if ctest --test-dir build-check -N | grep 'byte object'; then
+  echo "tier-1 tests: test names above carry a raw byte dump of their" \
+       "parameter; give its type a PrintTo" >&2
+  exit 1
+fi
 
 echo "== [4/9] bench equivalence smoke =="
 ( cd build-check && ./bench/bench_micro_hotpaths --mode=smoke \
