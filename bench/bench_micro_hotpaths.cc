@@ -855,7 +855,7 @@ void BenchBufferPoolReplay(bool smoke) {
   // The engine's measured window: a pre-drawn Zipf access stream replayed
   // through the pool with periodic budgeted background flushing. Baseline
   // is the seed std::list + std::unordered_map pool constructed per replay;
-  // the fast path re-arms one flat intrusive pool via Reset().
+  // the fast path re-arms one page-id-indexed pool via Reset().
   const int iters = smoke ? 2 : 10;
   const uint64_t capacity = 1024;
   const uint64_t page_space = 8192;
@@ -882,7 +882,7 @@ void BenchBufferPoolReplay(bool smoke) {
   // flush trajectories are pinned access-by-access in the gtest suite).
   {
     hunter::seedref::SeedBufferPool seed_pool(capacity);
-    hunter::cdb::BufferPool fast_pool(capacity);
+    hunter::cdb::BufferPool fast_pool(capacity, page_space);
     replay(&seed_pool);
     replay(&fast_pool);
     const std::vector<double> want = {
@@ -908,10 +908,10 @@ void BenchBufferPoolReplay(bool smoke) {
         sink += pool.hits();
       },
       iters);
-  hunter::cdb::BufferPool reused_pool(capacity);
+  hunter::cdb::BufferPool reused_pool(capacity, page_space);
   const double optimized_ms = TimeMs(
       [&] {
-        reused_pool.Reset(capacity);
+        reused_pool.Reset(capacity, page_space);
         replay(&reused_pool);
         sink += reused_pool.hits();
       },

@@ -1,33 +1,33 @@
 #include "cdb/buffer_pool.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace hunter::cdb {
 
-void BufferPool::Reset(uint64_t capacity_pages) {
+void BufferPool::Reset(uint64_t capacity_pages, uint64_t page_space) {
+  // Slots [0, size_) are exactly the resident ones, so clearing their pages'
+  // index entries leaves the whole index kNil.
+  for (uint32_t slot = 0; slot < size_; ++slot) slot_of_[pages_[slot]] = kNil;
   capacity_ = std::max<uint64_t>(1, capacity_pages);
-  bool reused = lru_.Reset(capacity_);
-  if (dirty_.size() < capacity_) {
-    // Stale dirty bits are never read: every insert writes its slot's bit
-    // before any read, so the slab only needs to be large enough.
-    dirty_.resize(capacity_);
-    reused = false;
+  page_space_ = page_space;
+  if (slot_of_.size() < page_space) slot_of_.resize(page_space, kNil);
+  // A pool never holds more pages than the page space has. Stale per-slot
+  // entries are never read: every insert writes its slot before any read.
+  const uint64_t slots = std::min(capacity_, page_space);
+  if (pages_.size() < slots) {
+    pages_.resize(slots);
+    prev_.resize(slots);
+    next_.resize(slots);
+    dirty_.resize(slots);
   }
+  head_ = kNil;
+  tail_ = kNil;
+  size_ = 0;
   dirty_count_ = 0;
   hits_ = 0;
   misses_ = 0;
   dirty_evictions_ = 0;
-  ++resets_;
-  if (reused) ++slab_reuses_;
-}
-
-void BufferPool::EvictOne() {
-  const uint32_t victim = lru_.back();
-  if (dirty_[victim] != 0) {
-    ++dirty_evictions_;
-    --dirty_count_;
-  }
-  lru_.EvictBack();
 }
 
 // hunterlint: hot
@@ -35,10 +35,9 @@ uint64_t BufferPool::FlushDirty(uint64_t max_pages) {
   uint64_t cleaned = 0;
   // Clean from the cold end of the LRU, as page cleaners do. Stopping once
   // no dirty pages remain skips a provably no-op tail walk.
-  for (uint32_t slot = lru_.back();
-       slot != common::FlatLru::kNil && cleaned < max_pages &&
-       dirty_count_ != 0;
-       slot = lru_.Warmer(slot)) {
+  for (uint32_t slot = tail_;
+       slot != kNil && cleaned < max_pages && dirty_count_ != 0;
+       slot = prev_[slot]) {
     if (dirty_[slot] != 0) {
       dirty_[slot] = 0;
       --dirty_count_;
@@ -54,10 +53,9 @@ double BufferPool::HitRatio() const {
 }
 
 double BufferPool::DirtyFraction() const {
-  return lru_.size() == 0
-             ? 0.0
-             : static_cast<double>(dirty_count_) /
-                   static_cast<double>(lru_.size());
+  return size_ == 0 ? 0.0
+                    : static_cast<double>(dirty_count_) /
+                          static_cast<double>(size_);
 }
 
 void BufferPool::ResetCounters() {
@@ -67,15 +65,24 @@ void BufferPool::ResetCounters() {
 }
 
 void BufferPool::Prewarm(uint64_t n) {
-  const uint64_t count = std::min(n, capacity_);
-  for (uint64_t page = 0; page < count; ++page) {
-    if (lru_.Find(page) == common::FlatLru::kNil) {
-      if (lru_.size() >= capacity_) EvictOne();
-      // Prewarmed pages are colder than live traffic.
-      const uint32_t slot = lru_.InsertBack(page);
-      dirty_[slot] = 0;
-    }
+  assert(size_ == 0);
+  const uint32_t count =
+      static_cast<uint32_t>(std::min({n, capacity_, page_space_}));
+  if (count == 0) return;
+  // Page i in slot i, linked front to back: the recency order of inserting
+  // each page behind the previous one (prewarmed pages are colder than live
+  // traffic).
+  for (uint32_t slot = 0; slot < count; ++slot) {
+    pages_[slot] = slot;
+    slot_of_[slot] = slot;
+    prev_[slot] = slot == 0 ? kNil : slot - 1;
+    next_[slot] = slot + 1;
+    dirty_[slot] = 0;
   }
+  next_[count - 1] = kNil;
+  head_ = 0;
+  tail_ = count - 1;
+  size_ = count;
 }
 
 }  // namespace hunter::cdb

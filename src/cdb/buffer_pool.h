@@ -6,15 +6,21 @@
 // discover, including skew effects (a small pool still captures a Zipfian
 // head) and working-set plateaus.
 //
-// Storage is a flat intrusive LRU (common::FlatLru): recency links are
-// uint32 index arrays over a slab sized to the capacity, and the page -> slot
-// index is an open-addressing hash reserved so it never grows. An Access is
-// allocation-free, and `Reset(capacity)` lets one pool instance be reused
-// across engine evaluations, reusing the slabs whenever the new capacity
-// fits (`slab_reuses()` counts how often that fast path was taken). The
-// observable hit/miss/evict/flush sequence is bit-identical to the previous
-// std::list + std::unordered_map implementation — pinned by the equivalence
-// tests in tests/cdb/buffer_pool_test.cc.
+// Page ids are Zipf ranks in a bounded page space ([0, page_space), at most
+// 8192 pages in the engine), so the pool is indexed by page id directly:
+// `slot_of_` holds one uint32 slot number per page, kNil when the page is
+// not resident. Recency is an intrusive doubly linked list of uint32 slot
+// indices over slabs of min(capacity, page_space) slots. Slots are handed
+// out in order until the pool is full; after that a miss reuses the LRU
+// tail's slot in place, so there is no free list and no eviction path. An
+// Access is allocation-free and touches a handful of array entries.
+//
+// `Reset(capacity, page_space)` re-arms one pool for a new run: it clears
+// only the resident pages' index entries (O(resident)) and grows the slabs
+// when they are too small; they never shrink. The observable
+// hit/miss/evict/flush sequence is bit-identical to the original
+// std::list + std::unordered_map implementation — pinned by the
+// equivalence tests in tests/cdb/buffer_pool_test.cc.
 
 #ifndef HUNTER_CDB_BUFFER_POOL_H_
 #define HUNTER_CDB_BUFFER_POOL_H_
@@ -22,30 +28,32 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_lru.h"
-
 namespace hunter::cdb {
 
 class BufferPool {
  public:
-  explicit BufferPool(uint64_t capacity_pages) { Reset(capacity_pages); }
+  BufferPool(uint64_t capacity_pages, uint64_t page_space) {
+    Reset(capacity_pages, page_space);
+  }
 
-  // Empties the pool and re-sizes it for a new run, reusing the slabs when
-  // the capacity fits. All counters (including dirty state) restart from
-  // zero — equivalent to constructing a fresh pool, without the allocation.
-  void Reset(uint64_t capacity_pages);
+  // Empties the pool and re-arms it for a run over pages [0, page_space)
+  // with `capacity_pages` slots (clamped to at least one). All counters
+  // (including dirty state) restart from zero — equivalent to constructing
+  // a fresh pool, without the allocation once the slabs are big enough.
+  void Reset(uint64_t capacity_pages, uint64_t page_space);
 
   // Touches a page: returns true on hit. On miss, the page is installed and
   // the LRU victim evicted (a dirty victim counts as a flush-on-evict).
-  // `make_dirty` marks the page dirty (a write access). Defined inline: the
-  // engine's replay loop is a tight sequence of these calls and the call
-  // boundary was a measurable share of the per-access cost.
+  // `make_dirty` marks the page dirty (a write access). Requires
+  // `page_id < page_space`. Defined inline: the engine's replay loop is a
+  // tight sequence of these calls and the call boundary was a measurable
+  // share of the per-access cost.
   // hunterlint: hot
   bool Access(uint64_t page_id, bool make_dirty) {
-    const uint32_t slot = lru_.Find(page_id);
-    if (slot != common::FlatLru::kNil) {
+    uint32_t slot = slot_of_[page_id];
+    if (slot != kNil) {
       ++hits_;
-      lru_.MoveToFront(slot);
+      MoveToFront(slot);
       if (make_dirty && dirty_[slot] == 0) {
         dirty_[slot] = 1;
         ++dirty_count_;
@@ -53,21 +61,31 @@ class BufferPool {
       return true;
     }
     ++misses_;
-    uint32_t fresh;
-    if (lru_.size() >= capacity_) {
-      // Fused evict + insert: account the victim, then reuse its slot for
-      // the incoming page (same hit/miss/evict sequence as EvictOne +
-      // InsertFront, without the free-list round trip).
-      const uint32_t victim = lru_.back();
-      if (dirty_[victim] != 0) {
+    if (size_ < capacity_) {
+      // Not full yet, so the page space is not exhausted either: the next
+      // slot in order is free.
+      slot = size_++;
+      prev_[slot] = kNil;
+      next_[slot] = head_;
+      if (head_ != kNil) {
+        prev_[head_] = slot;
+      } else {
+        tail_ = slot;
+      }
+      head_ = slot;
+    } else {
+      // Evict the LRU tail and install the incoming page in its slot.
+      slot = tail_;
+      if (dirty_[slot] != 0) {
         ++dirty_evictions_;
         --dirty_count_;
       }
-      fresh = lru_.ReplaceBack(page_id);
-    } else {
-      fresh = lru_.InsertFront(page_id);
+      slot_of_[pages_[slot]] = kNil;
+      MoveToFront(slot);
     }
-    dirty_[fresh] = make_dirty ? 1 : 0;
+    pages_[slot] = static_cast<uint32_t>(page_id);
+    slot_of_[page_id] = slot;
+    dirty_[slot] = make_dirty ? 1 : 0;
     if (make_dirty) ++dirty_count_;
     return false;
   }
@@ -77,39 +95,57 @@ class BufferPool {
   uint64_t FlushDirty(uint64_t max_pages);
 
   uint64_t capacity() const { return capacity_; }
-  uint64_t resident_pages() const { return lru_.size(); }
+  uint64_t resident_pages() const { return size_; }
   uint64_t dirty_pages() const { return dirty_count_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t dirty_evictions() const { return dirty_evictions_; }
-
-  // Lifetime reuse accounting (not touched by Reset/ResetCounters): how
-  // many times the pool was re-armed, and how many of those reused the
-  // existing slabs without reallocating.
-  uint64_t resets() const { return resets_; }
-  uint64_t slab_reuses() const { return slab_reuses_; }
 
   double HitRatio() const;
   double DirtyFraction() const;
 
   void ResetCounters();
 
-  // Pre-warms the pool with pages [0, n) — models the CDB warm-up function
-  // that reloads the buffer pool from disk after a restart (§5).
+  // Pre-warms a just-reset pool with pages [0, n), clamped to the capacity
+  // and the page space — models the CDB warm-up function that reloads the
+  // buffer pool from disk after a restart (§5). Page 0 ends up most
+  // recently used and the last page least.
   void Prewarm(uint64_t n);
 
  private:
-  void EvictOne();
+  static constexpr uint32_t kNil = 0xFFFFFFFFu;
+
+  // Splices a resident slot to the front (most-recently-used position).
+  void MoveToFront(uint32_t slot) {
+    if (head_ == slot) return;
+    const uint32_t p = prev_[slot];
+    const uint32_t n = next_[slot];
+    next_[p] = n;  // p != kNil because slot != head_
+    if (n != kNil) {
+      prev_[n] = p;
+    } else {
+      tail_ = p;
+    }
+    prev_[slot] = kNil;
+    next_[slot] = head_;
+    prev_[head_] = slot;
+    head_ = slot;
+  }
 
   uint64_t capacity_ = 1;
-  common::FlatLru lru_;
-  std::vector<uint8_t> dirty_;  // per-slot dirty bit, parallel to the slab
+  uint64_t page_space_ = 0;
+  std::vector<uint32_t> slot_of_;  // page id -> slot, kNil if not resident
+  std::vector<uint32_t> pages_;    // slot -> page id
+  std::vector<uint32_t> prev_;     // toward the front (warmer)
+  std::vector<uint32_t> next_;     // toward the back (colder)
+  std::vector<uint8_t> dirty_;     // per-slot dirty bit
+  uint32_t head_ = kNil;
+  uint32_t tail_ = kNil;
+  uint32_t size_ = 0;
   uint64_t dirty_count_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t dirty_evictions_ = 0;
-  uint64_t resets_ = 0;
-  uint64_t slab_reuses_ = 0;
 };
 
 }  // namespace hunter::cdb

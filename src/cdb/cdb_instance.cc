@@ -38,11 +38,7 @@ DeployOutcome CdbInstance::DeployConfiguration(const Configuration& config) {
 }
 
 PerfResult CdbInstance::StressTest(const WorkloadProfile& workload) {
-  const uint64_t resets_before = engine_.pool_resets();
-  const uint64_t reuses_before = engine_.pool_slab_reuses();
   PerfResult result = engine_.Run(config_, workload, warm_, &rng_);
-  pool_stats_.resets += engine_.pool_resets() - resets_before;
-  pool_stats_.slab_reuses += engine_.pool_slab_reuses() - reuses_before;
   if (!result.boot_failed) warm_ = true;  // pool is hot after a run
   return result;
 }

@@ -73,18 +73,6 @@ class CdbInstance {
     warm_ = snapshot.warm;
   }
 
-  // ---- Buffer-pool reuse accounting ---------------------------------
-  // The engine re-arms one long-lived pool per evaluation (Reset) instead
-  // of constructing one; `slab_reuses` counts how many of those re-arms
-  // reused the existing slabs without allocating. Summed from this
-  // instance's own runs, so a clone starts at zero whatever the engine it
-  // copied had already counted.
-  struct PoolStats {
-    uint64_t resets = 0;
-    uint64_t slab_reuses = 0;
-  };
-  const PoolStats& pool_stats() const { return pool_stats_; }
-
   // Deployment cost constants (simulated seconds, from the paper's
   // Table 1: knob deployment averages 21.3 s).
   static constexpr double kDynamicDeploySeconds = 3.0;
@@ -98,8 +86,6 @@ class CdbInstance {
   common::Rng rng_;
   bool warm_ = false;  // buffer pool content survives via warm-up function
   uint64_t restarts_ = 0;
-
-  PoolStats pool_stats_;
 };
 
 }  // namespace hunter::cdb

@@ -87,6 +87,17 @@ double SimulatedEngine::KnobValue(const Configuration& config, KnobRole role,
 
 bool SimulatedEngine::ValidateBoot(const Configuration& config,
                                    std::string* reason) const {
+  // A NaN or infinite knob would pass the memory comparison below (NaN
+  // compares false) and then reach Run's integer casts.
+  for (size_t i = 0; i < catalog_->size(); ++i) {
+    if (!std::isfinite(config[i])) {
+      if (reason != nullptr) {
+        *reason = "knob " + catalog_->knob(i).name + " has non-finite value " +
+                  std::to_string(config[i]);
+      }
+      return false;
+    }
+  }
   const double ram_mb = instance_.ram_gb * 1024.0;
   const double bp_mb = KnobValue(config, KnobRole::kBufferPoolSize, 128.0);
   const double max_conn = KnobValue(config, KnobRole::kMaxConnections, 151.0);
@@ -178,7 +189,7 @@ PerfResult SimulatedEngine::Run(const Configuration& config,
       std::max<uint64_t>(16, static_cast<uint64_t>(data_mb / page_mb));
   const uint64_t bp_pages =
       std::max<uint64_t>(1, static_cast<uint64_t>(bp_mb / page_mb));
-  pool_.Reset(bp_pages);
+  pool_.Reset(bp_pages, data_pages);
   if (warm_start) {
     // The CDB warm-up function restores the hottest pages (low Zipf ranks
     // map to low page ids in this simulation).

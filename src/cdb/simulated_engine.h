@@ -62,7 +62,8 @@ class SimulatedEngine {
   SimulatedEngine(const KnobCatalog* catalog, InstanceType instance,
                   EngineTuning tuning);
 
-  // Returns true if the configuration can boot on this instance. A reason
+  // Returns true if the configuration can boot on this instance: every knob
+  // value is finite and the configured memory fits the RAM budget. A reason
   // string (for logs/tests) is written when provided.
   bool ValidateBoot(const Configuration& config, std::string* reason) const;
 
@@ -74,11 +75,6 @@ class SimulatedEngine {
   const InstanceType& instance() const { return instance_; }
   void set_instance(const InstanceType& instance) { instance_ = instance; }
   const KnobCatalog& catalog() const { return *catalog_; }
-
-  // Buffer-pool reuse accounting: how many times Run re-armed the pool, and
-  // how many of those reused the existing slabs without reallocating.
-  uint64_t pool_resets() const { return pool_.resets(); }
-  uint64_t pool_slab_reuses() const { return pool_.slab_reuses(); }
 
  private:
   // Hash-derived response constants of one generic minor knob, computed
@@ -113,10 +109,10 @@ class SimulatedEngine {
   // the steady state allocation-free.
   mutable std::vector<uint64_t> access_pages_;
   mutable std::vector<uint8_t> access_is_write_;
-  // One pool per engine, re-armed via Reset(capacity) at the top of every
-  // Run instead of being reconstructed — the slabs survive across
-  // evaluations (pool_.slab_reuses() counts the hits).
-  mutable BufferPool pool_{1};
+  // One pool per engine, re-armed via Reset(capacity, page_space) at the
+  // top of every Run instead of being reconstructed. Its slabs are bounded
+  // by the page space (kMaxDataPages) and survive across evaluations.
+  mutable BufferPool pool_{1, 1};
   // Per-purpose Zipf samplers. The page draws (data_pages, zipf_theta) and
   // the lock-row draws (hot_rows, lock_zipf_theta) alternate within every
   // Run; a single shared constants cache (the Rng's) would recompute both

@@ -13,8 +13,7 @@ std::atomic<int> g_tier_override{-1};
 
 SimdTier DetectHardwareTier() {
 #if defined(__x86_64__)
-  // One CPUID probe, shared by every dispatch site in the tree (the old
-  // flat_lru.h scan dispatcher ran its own __builtin_cpu_supports call).
+  // One CPUID probe, shared by every dispatch site in the tree.
   // AVX2 and FMA are queried together: the dense kernels assume both bits
   // travel as a pair, and refusing the odd hypothetical AVX2-without-FMA
   // part costs nothing but a scalar fallback.

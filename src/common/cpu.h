@@ -1,8 +1,8 @@
 // Single source of truth for CPU feature detection and SIMD dispatch tier.
 //
-// Every runtime-dispatched kernel in the tree — the dense floating-point
-// layer in src/linalg/simd/ and the integer key-scan kernels below (used by
-// flat_lru.h) — asks this header which tier to run at. The hardware is
+// Every runtime-dispatched kernel in the tree — all of them live in the
+// dense floating-point layer under src/linalg/simd/ — asks this header
+// which tier to run at. It hosts no kernels itself. The hardware is
 // queried exactly once (one cached CPUID probe via __builtin_cpu_supports);
 // everything else layered on top is policy:
 //
@@ -14,17 +14,11 @@
 //     bench harness flip tiers in-process to time and compare both paths in
 //     one run. Requests for a tier the hardware lacks clamp to scalar.
 //
-// Raw vector intrinsics are only permitted here and under src/linalg/simd/
-// (enforced by the hunterlint rule no-raw-intrinsics-outside-simd).
+// Raw vector intrinsics are only permitted under src/linalg/simd/ (enforced
+// by the hunterlint rule no-raw-intrinsics-outside-simd).
 
 #ifndef HUNTER_COMMON_CPU_H_
 #define HUNTER_COMMON_CPU_H_
-
-#include <cstdint>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace hunter::common {
 
@@ -54,144 +48,6 @@ const char* SimdTierName(SimdTier tier);
 // calls this. Thread-safe; takes effect on the next dispatch.
 void SetSimdTierForTesting(SimdTier tier);
 void ClearSimdTierForTesting();
-
-namespace simd {
-
-// ---------------------------------------------------------------------------
-// Integer key-scan kernels (flat_lru.h's scan-mode index). These are exact
-// lookups over uint64 slabs — no floating point, so the scalar and AVX2
-// lanes are trivially answer-identical and the only contract is "same slot
-// or kNil".
-// ---------------------------------------------------------------------------
-
-// Scalar scan-mode lookup: the unique live slot holding `key`, or not-found.
-// Free slots keep their stale key until reuse, so the live byte is part of
-// the match condition (a stale duplicate of `key` must not count).
-inline uint32_t ScanFindScalar(const uint64_t* keys, const uint8_t* live,
-                               uint32_t cap, uint64_t key) {
-  uint32_t found = 0xFFFFFFFFu;
-  for (uint32_t j = 0; j < cap; ++j) {
-    found = (keys[j] == key && live[j] != 0) ? j : found;
-  }
-  return found;
-}
-
-// Dense variant: every slot in [0, count) is live (no free slots below the
-// fill line, no stale keys), so the match condition is the key compare
-// alone. This is the steady state of an LRU that replaces its victim in
-// place (ReplaceBack) instead of evicting then re-inserting.
-inline uint32_t ScanFindDenseScalar(const uint64_t* keys, uint32_t count,
-                                    uint64_t key) {
-  uint32_t found = 0xFFFFFFFFu;
-  for (uint32_t j = 0; j < count; ++j) {
-    found = keys[j] == key ? j : found;
-  }
-  return found;
-}
-
-#if defined(__x86_64__)
-// AVX2 lane: four 64-bit key compares per step, accumulated branch-free
-// into a per-chunk match bitmask (a data-dependent branch every four slots
-// mispredicts constantly on random access streams). Live bytes are checked
-// only on the rare raw key matches. Compiled with AVX2 enabled regardless
-// of the build's baseline flags; only called when the CPU reports support.
-__attribute__((target("avx2"))) inline uint32_t ScanFindAvx2(
-    const uint64_t* keys, const uint8_t* live, uint32_t cap, uint64_t key) {
-  const __m256i needle = _mm256_set1_epi64x(static_cast<long long>(key));
-  uint32_t base = 0;
-  while (base < cap) {
-    const uint32_t chunk = cap - base < 64 ? cap - base : 64;
-    uint64_t matches = 0;
-    uint32_t j = 0;
-    for (; j + 4 <= chunk; j += 4) {
-      const __m256i lane = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(keys + base + j));
-      const int mask = _mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(lane, needle)));
-      matches |= static_cast<uint64_t>(static_cast<uint32_t>(mask)) << j;
-    }
-    for (; j < chunk; ++j) {
-      if (keys[base + j] == key) matches |= uint64_t{1} << j;
-    }
-    while (matches != 0) {
-      const uint32_t b =
-          static_cast<uint32_t>(__builtin_ctzll(matches));
-      if (live[base + b] != 0) return base + b;
-      matches &= matches - 1;
-    }
-    base += chunk;
-  }
-  return 0xFFFFFFFFu;
-}
-
-// Dense AVX2 lane: key compares only, no live bytes (see
-// ScanFindDenseScalar for the invariant that makes this sufficient).
-// Misses dominate an LRU smaller than its working set, so the hot pass is
-// a pure in-vector OR-reduction ("is the key anywhere?") with no
-// per-chunk vector->scalar crossings; the position is recovered by a
-// second positional scan only when a match exists (at most one can).
-__attribute__((target("avx2"))) inline uint32_t ScanFindDenseAvx2(
-    const uint64_t* keys, uint32_t count, uint64_t key) {
-  const __m256i needle = _mm256_set1_epi64x(static_cast<long long>(key));
-  __m256i any = _mm256_setzero_si256();
-  uint32_t j = 0;
-  for (; j + 8 <= count; j += 8) {
-    const __m256i eq_lo = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j)),
-        needle);
-    const __m256i eq_hi = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j + 4)),
-        needle);
-    any = _mm256_or_si256(any, _mm256_or_si256(eq_lo, eq_hi));
-  }
-  for (; j < count; ++j) {
-    if (keys[j] == key) return j;
-  }
-  if (_mm256_testz_si256(any, any) != 0) return 0xFFFFFFFFu;
-  for (j = 0; j + 4 <= count; j += 4) {
-    const __m256i eq = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j)),
-        needle);
-    const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-    if (mask != 0) {
-      return j + static_cast<uint32_t>(
-                     __builtin_ctz(static_cast<unsigned>(mask)));
-    }
-  }
-  return 0xFFFFFFFFu;
-}
-
-// Dispatchers. The tier is snapshotted at the first call: the buffer pool's
-// Access path runs this on every page touch, and a per-call atomic load is
-// measurable there. HUNTER_FORCE_SCALAR (read before any dispatch) is
-// always honored; an in-process SetSimdTierForTesting only affects these if
-// set before the first scan, which the scan tests do.
-inline uint32_t ScanFind(const uint64_t* keys, const uint8_t* live,
-                         uint32_t cap, uint64_t key) {
-  static const bool kAvx2 = ActiveSimdTier() == SimdTier::kAvx2Fma;
-  return kAvx2 ? ScanFindAvx2(keys, live, cap, key)
-               : ScanFindScalar(keys, live, cap, key);
-}
-
-inline uint32_t ScanFindDense(const uint64_t* keys, uint32_t count,
-                              uint64_t key) {
-  static const bool kAvx2 = ActiveSimdTier() == SimdTier::kAvx2Fma;
-  return kAvx2 ? ScanFindDenseAvx2(keys, count, key)
-               : ScanFindDenseScalar(keys, count, key);
-}
-#else
-inline uint32_t ScanFind(const uint64_t* keys, const uint8_t* live,
-                         uint32_t cap, uint64_t key) {
-  return ScanFindScalar(keys, live, cap, key);
-}
-
-inline uint32_t ScanFindDense(const uint64_t* keys, uint32_t count,
-                              uint64_t key) {
-  return ScanFindDenseScalar(keys, count, key);
-}
-#endif
-
-}  // namespace simd
 
 }  // namespace hunter::common
 

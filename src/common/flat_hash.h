@@ -1,7 +1,7 @@
 // Open-addressing hash map with 64-bit keys, built for the engine hot paths.
 //
-// The simulated engine's per-evaluation loops (buffer-pool page lookup, the
-// lock table, the dependency graph's row indices) were bottlenecked on
+// The simulated engine's per-evaluation loops (the lock table, the
+// dependency graph's row indices) were bottlenecked on
 // `std::unordered_map` node allocation and pointer chasing. FlatHashMap64
 // stores keys and values in flat arrays with linear probing over a
 // power-of-two table, so a lookup is a hash, a mask, and a short contiguous
@@ -9,7 +9,7 @@
 //
 // Properties the hot paths rely on:
 //   - `Reset(expected)` clears contents but keeps the slabs whenever they are
-//     already big enough, so a pool/lock-table reused across evaluations
+//     already big enough, so a lock table reused across evaluations
 //     performs zero allocations in steady state.
 //   - Deletion uses backward-shift (Robin-Hood style compaction of the probe
 //     chain) instead of tombstones, so long-lived tables never degrade.
@@ -37,8 +37,8 @@ class FlatHashMap64 {
   // Returns true when the existing slab was large enough to be reused (no
   // reallocation happened). Clearing is O(1): occupancy is an epoch stamp
   // per slot, so emptying the table is one epoch bump rather than a walk
-  // over every slot (a pool sized for a large configuration would otherwise
-  // keep paying a full-slab sweep on every later, smaller Reset).
+  // over every slot (a table sized for a large run would otherwise keep
+  // paying a full-slab sweep on every later, smaller Reset).
   bool Reset(size_t expected_keys) {
     const size_t wanted = TableSizeFor(expected_keys);
     size_ = 0;

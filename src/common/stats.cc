@@ -26,15 +26,19 @@ double StdDev(const std::vector<double>& values) {
 }
 
 double Percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  if (q <= 0.0) return values.front();
-  if (q >= 100.0) return values.back();
-  const double pos = q / 100.0 * static_cast<double>(values.size() - 1);
+  return PercentileOfSorted(values, q);
+}
+
+double PercentileOfSorted(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  if (q <= 0.0) return sorted.front();
+  if (q >= 100.0) return sorted.back();
+  const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(pos);
   const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
 double PearsonCorrelation(const std::vector<double>& a,

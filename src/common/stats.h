@@ -24,6 +24,9 @@ double StdDev(const std::vector<double>& values);
 // order statistics. Copies and sorts internally; 0 for empty input.
 double Percentile(std::vector<double> values, double q);
 
+// Percentile of values already sorted ascending: no copy, no sort.
+double PercentileOfSorted(const std::vector<double>& sorted, double q);
+
 // Pearson correlation of two equally sized vectors; 0 if degenerate.
 double PearsonCorrelation(const std::vector<double>& a,
                           const std::vector<double>& b);

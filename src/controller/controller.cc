@@ -75,11 +75,6 @@ Controller::Controller(std::unique_ptr<cdb::CdbInstance> user_instance,
       metrics_registry_.RegisterHistogram("controller.round_seconds");
   clone_utilization_hist_ =
       metrics_registry_.RegisterHistogram("controller.clone_utilization");
-  pool_resets_counter_ =
-      metrics_registry_.RegisterCounter("engine.pool_resets");
-  pool_slab_reuses_counter_ =
-      metrics_registry_.RegisterCounter("engine.pool_slab_reuses");
-  lane_pool_seen_.resize(actors_.size());
 }
 
 const cdb::PerformanceSummary& Controller::DefaultPerformance() {
@@ -113,26 +108,8 @@ void Controller::ReplaceActor(size_t lane) {
       injector_.enabled() ? &injector_ : nullptr;
   actors_[lane] = std::make_unique<Actor>(
       user_instance_->Clone(), options_.alpha, next_clone_id_++, injector);
-  lane_pool_seen_[lane] = {};  // fresh clone, fresh pool stats
   ++fault_stats_.reclones;
   reclones_counter_->Increment();
-}
-
-void Controller::HarvestPoolStats() {
-  for (size_t l = 0; l < actors_.size(); ++l) {
-    const cdb::CdbInstance::PoolStats& now =
-        actors_[l]->instance().pool_stats();
-    cdb::CdbInstance::PoolStats& seen = lane_pool_seen_[l];
-    if (now.resets > seen.resets) {
-      pool_resets_counter_->Increment(
-          static_cast<double>(now.resets - seen.resets));
-    }
-    if (now.slab_reuses > seen.slab_reuses) {
-      pool_slab_reuses_counter_->Increment(
-          static_cast<double>(now.slab_reuses - seen.slab_reuses));
-    }
-    seen = now;
-  }
 }
 
 void Controller::MarkEvaluationFailed(Sample* sample,
@@ -206,10 +183,6 @@ std::vector<Sample> Controller::EvaluateBatch(
                                 defaults);
       }
     }
-    // Sweep pool stats before any permanent death swaps an actor out (its
-    // final attempt must still be counted).
-    HarvestPoolStats();
-
     // The round costs as much as its slowest lane (all clones run in
     // parallel); each lane additionally pays its item's backoff and any
     // recovery/replacement work it triggered. Each lane's cost is built as

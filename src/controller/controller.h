@@ -145,11 +145,6 @@ class Controller {
   // instance under a new clone id (new deterministic fault stream).
   void ReplaceActor(size_t lane);
 
-  // Sweeps each lane's buffer-pool resets and slab reuses into the registry
-  // counters (delta since last sweep). Runs on the coordination thread
-  // between rounds, after all lane futures have completed.
-  void HarvestPoolStats();
-
   // Stamps `sample` with the boot-failure clamp and marks it as an
   // infrastructure failure (§2.1 sentinel; learners skip it).
   static void MarkEvaluationFailed(Sample* sample,
@@ -185,11 +180,6 @@ class Controller {
   obs::Counter* failed_samples_counter_ = nullptr;
   obs::Histogram* round_seconds_hist_ = nullptr;
   obs::Histogram* clone_utilization_hist_ = nullptr;
-  obs::Counter* pool_resets_counter_ = nullptr;
-  obs::Counter* pool_slab_reuses_counter_ = nullptr;
-  // Per-lane stats already swept into the counters (delta tracking; an
-  // entry resets when its lane's actor is replaced).
-  std::vector<cdb::CdbInstance::PoolStats> lane_pool_seen_;
 };
 
 }  // namespace hunter::controller

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace hunter::obs {
@@ -10,12 +11,13 @@ double Gauge::value() const {
 
 void Histogram::Observe(double value) {
   stat_.Add(value);
-  values_.push_back(value);
+  values_.insert(std::upper_bound(values_.begin(), values_.end(), value),
+                 value);
 }
 
 double Histogram::Quantile(double q) const {
   if (values_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return common::Percentile(values_, q);
+  return common::PercentileOfSorted(values_, q);
 }
 
 const MetricsRegistry::Entry* MetricsRegistry::Find(

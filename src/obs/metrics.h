@@ -52,7 +52,8 @@ class Gauge {
 };
 
 // Streaming distribution built on common::RunningStat plus a retained value
-// list so snapshots can report percentiles via common::Percentile.
+// list, kept sorted as values arrive, so a snapshot reads its percentiles
+// via common::PercentileOfSorted without copying or sorting.
 class Histogram {
  public:
   void Observe(double value);
@@ -62,7 +63,7 @@ class Histogram {
 
  private:
   common::RunningStat stat_;
-  std::vector<double> values_;
+  std::vector<double> values_;  // ascending
 };
 
 // One serialized metric in a journal snapshot. For counters and gauges only

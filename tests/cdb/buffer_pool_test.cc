@@ -13,7 +13,7 @@ namespace hunter::cdb {
 namespace {
 
 TEST(BufferPoolTest, ColdMissesThenHits) {
-  BufferPool pool(10);
+  BufferPool pool(10, 16);
   EXPECT_FALSE(pool.Access(1, false));
   EXPECT_TRUE(pool.Access(1, false));
   EXPECT_EQ(pool.hits(), 1u);
@@ -21,7 +21,7 @@ TEST(BufferPoolTest, ColdMissesThenHits) {
 }
 
 TEST(BufferPoolTest, EvictsLeastRecentlyUsed) {
-  BufferPool pool(2);
+  BufferPool pool(2, 4);
   pool.Access(1, false);
   pool.Access(2, false);
   pool.Access(1, false);   // 1 now most recent
@@ -31,13 +31,13 @@ TEST(BufferPoolTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(BufferPoolTest, CapacityNeverExceeded) {
-  BufferPool pool(5);
+  BufferPool pool(5, 100);
   for (uint64_t p = 0; p < 100; ++p) pool.Access(p, false);
   EXPECT_EQ(pool.resident_pages(), 5u);
 }
 
 TEST(BufferPoolTest, DirtyTrackingAndFlush) {
-  BufferPool pool(10);
+  BufferPool pool(10, 16);
   pool.Access(1, true);
   pool.Access(2, true);
   pool.Access(3, false);
@@ -50,7 +50,7 @@ TEST(BufferPoolTest, DirtyTrackingAndFlush) {
 }
 
 TEST(BufferPoolTest, DirtyEvictionCounted) {
-  BufferPool pool(1);
+  BufferPool pool(1, 4);
   pool.Access(1, true);
   pool.Access(2, false);  // evicts dirty page 1
   EXPECT_EQ(pool.dirty_evictions(), 1u);
@@ -58,7 +58,7 @@ TEST(BufferPoolTest, DirtyEvictionCounted) {
 }
 
 TEST(BufferPoolTest, RewriteDoesNotDoubleCountDirty) {
-  BufferPool pool(4);
+  BufferPool pool(4, 4);
   pool.Access(1, true);
   pool.Access(1, true);
   EXPECT_EQ(pool.dirty_pages(), 1u);
@@ -67,7 +67,7 @@ TEST(BufferPoolTest, RewriteDoesNotDoubleCountDirty) {
 TEST(BufferPoolTest, HitRatioGrowsWithCapacityUnderZipf) {
   common::Rng rng(1);
   auto measure = [&](uint64_t capacity) {
-    BufferPool pool(capacity);
+    BufferPool pool(capacity, 4096);
     common::Rng local(42);
     for (int i = 0; i < 5000; ++i) pool.Access(local.Zipf(4096, 0.8), false);
     pool.ResetCounters();
@@ -84,7 +84,7 @@ TEST(BufferPoolTest, HitRatioGrowsWithCapacityUnderZipf) {
 }
 
 TEST(BufferPoolTest, PrewarmMakesHotPagesResident) {
-  BufferPool pool(100);
+  BufferPool pool(100, 200);
   pool.Prewarm(100);
   EXPECT_EQ(pool.resident_pages(), 100u);
   EXPECT_TRUE(pool.Access(0, false));
@@ -93,13 +93,34 @@ TEST(BufferPoolTest, PrewarmMakesHotPagesResident) {
 }
 
 TEST(BufferPoolTest, PrewarmRespectsCapacity) {
-  BufferPool pool(10);
+  BufferPool pool(10, 100);
   pool.Prewarm(100);
   EXPECT_EQ(pool.resident_pages(), 10u);
 }
 
+TEST(BufferPoolTest, PrewarmRespectsPageSpace) {
+  BufferPool pool(100, 40);
+  pool.Prewarm(100);
+  EXPECT_EQ(pool.resident_pages(), 40u);
+  EXPECT_EQ(pool.capacity(), 100u);
+  EXPECT_TRUE(pool.Access(39, false));
+}
+
+TEST(BufferPoolTest, PrewarmedPagesAgeInOrder) {
+  // Page 0 is the warmest prewarmed page and the last one the coldest, so
+  // live misses evict from the top of the prewarmed range downwards.
+  BufferPool pool(4, 16);
+  pool.Prewarm(4);
+  EXPECT_FALSE(pool.Access(10, false));  // evicts 3
+  EXPECT_FALSE(pool.Access(11, false));  // evicts 2
+  EXPECT_TRUE(pool.Access(0, false));
+  EXPECT_TRUE(pool.Access(1, false));
+  EXPECT_FALSE(pool.Access(2, false));
+  EXPECT_FALSE(pool.Access(3, false));
+}
+
 TEST(BufferPoolTest, ResetCountersKeepsContents) {
-  BufferPool pool(4);
+  BufferPool pool(4, 16);
   pool.Access(7, false);
   pool.ResetCounters();
   EXPECT_EQ(pool.misses(), 0u);
@@ -107,7 +128,7 @@ TEST(BufferPoolTest, ResetCountersKeepsContents) {
 }
 
 TEST(BufferPoolTest, ZeroCapacityClampedToOne) {
-  BufferPool pool(0);
+  BufferPool pool(0, 16);
   EXPECT_EQ(pool.capacity(), 1u);
   pool.Access(1, false);
   EXPECT_EQ(pool.resident_pages(), 1u);
@@ -149,6 +170,17 @@ void ReplayAndCompare(BufferPool* pool, seedref::SeedBufferPool* seed,
   EXPECT_DOUBLE_EQ(seed->DirtyFraction(), pool->DirtyFraction()) << context;
 }
 
+// One access of `page` on both pools: same hit/miss answer and counters.
+void CompareAccess(BufferPool* pool, seedref::SeedBufferPool* seed,
+                   uint64_t page, bool dirty, const std::string& context) {
+  ASSERT_EQ(seed->Access(page, dirty), pool->Access(page, dirty)) << context;
+  ASSERT_EQ(seed->hits(), pool->hits()) << context;
+  ASSERT_EQ(seed->misses(), pool->misses()) << context;
+  ASSERT_EQ(seed->dirty_pages(), pool->dirty_pages()) << context;
+  ASSERT_EQ(seed->dirty_evictions(), pool->dirty_evictions()) << context;
+  ASSERT_EQ(seed->resident_pages(), pool->resident_pages()) << context;
+}
+
 TEST(BufferPoolEquivalenceTest, AdversarialStreamsMatchSeedExactly) {
   struct Scenario {
     const char* name;
@@ -172,7 +204,7 @@ TEST(BufferPoolEquivalenceTest, AdversarialStreamsMatchSeedExactly) {
       {"prewarm overflow", 32, 1024, 0.2, 64, 4, 1000},
   };
   for (const Scenario& s : scenarios) {
-    BufferPool pool(s.capacity);
+    BufferPool pool(s.capacity, s.page_space);
     seedref::SeedBufferPool seed(s.capacity);
     if (s.prewarm > 0) {
       pool.Prewarm(s.prewarm);
@@ -185,30 +217,46 @@ TEST(BufferPoolEquivalenceTest, AdversarialStreamsMatchSeedExactly) {
 }
 
 TEST(BufferPoolEquivalenceTest, ResetReplaysLikeAFreshSeedPool) {
-  // One pool driven through Reset cycles of varying capacities must behave
-  // like a factory-fresh seed pool of each capacity — reused slabs carry no
-  // observable state across cycles.
-  BufferPool pool(2048);  // sizes the slabs once, up front
-  const uint64_t capacities[] = {2048, 64, 1, 512, 64};
-  const uint64_t reuses_before = pool.slab_reuses();
-  uint64_t expected_resets = pool.resets();
-  for (const uint64_t capacity : capacities) {
-    pool.Reset(capacity);
-    ++expected_resets;
-    EXPECT_EQ(pool.resets(), expected_resets);
-    EXPECT_EQ(pool.capacity(), capacity);
+  // One pool driven through Reset cycles of varying capacities and page
+  // spaces must behave like a factory-fresh seed pool of each capacity —
+  // reused slabs and index entries carry no observable state across cycles
+  // (a stale page -> slot entry would show up as a spurious hit).
+  struct Cycle {
+    uint64_t capacity;
+    uint64_t page_space;
+    uint64_t prewarm;
+  };
+  const Cycle cycles[] = {
+      {2048, 8192, 0},     // the engine's largest page space
+      {64, 256, 0},        // shrink both
+      {1, 4, 0},           // a single slot over a tiny page space
+      {512, 2048, 512},    // grow again, prewarmed like a warm start
+      {4096, 1024, 1024},  // capacity above the page space, fully prewarmed
+      {5000, 600, 0},      // capacity above the page space, cold
+      {64, 8192, 0},       // small pool over the largest page space
+      {300, 12000, 64},    // page space beyond any earlier one
+  };
+  BufferPool pool(2048, 8192);
+  for (const Cycle& c : cycles) {
+    const std::string context = "reset to " + std::to_string(c.capacity) +
+                                " over " + std::to_string(c.page_space);
+    pool.Reset(c.capacity, c.page_space);
+    EXPECT_EQ(pool.capacity(), c.capacity);
     EXPECT_EQ(pool.resident_pages(), 0u);
     EXPECT_EQ(pool.hits(), 0u);
     EXPECT_EQ(pool.misses(), 0u);
     EXPECT_EQ(pool.dirty_pages(), 0u);
-    seedref::SeedBufferPool seed(capacity);
-    common::Rng rng(42 + capacity);
-    ReplayAndCompare(&pool, &seed, &rng, 4 * capacity, 0.5, 3000, 128, 4,
-                     "reset to " + std::to_string(capacity));
+    seedref::SeedBufferPool seed(c.capacity);
+    if (c.prewarm > 0) {
+      pool.Prewarm(c.prewarm);
+      seed.Prewarm(c.prewarm);
+    }
+    CompareAccess(&pool, &seed, c.page_space - 1, true, context + " first");
+    common::Rng rng(42 + c.capacity);
+    ReplayAndCompare(&pool, &seed, &rng, c.page_space, 0.5, 3000, 128, 4,
+                     context);
+    CompareAccess(&pool, &seed, c.page_space - 1, false, context + " last");
   }
-  // Every re-arm fits inside the original 2048-page slabs.
-  EXPECT_EQ(pool.slab_reuses() - reuses_before,
-            sizeof(capacities) / sizeof(capacities[0]));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "cdb/simulated_engine.h"
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +66,26 @@ TEST_F(EngineTest, ConnectionMemoryCountsAgainstRam) {
   Set(&config, "innodb_buffer_pool_size", 24000);
   Set(&config, "max_connections", 10000);  // 15 GB of connection arenas
   EXPECT_FALSE(engine_.ValidateBoot(config, nullptr));
+}
+
+TEST_F(EngineTest, NonFiniteKnobFailsBoot) {
+  // Whatever the knob, a NaN or infinite value never boots, and the reason
+  // names the knob. (NaN compares false against the RAM budget, so only the
+  // explicit check catches it before Run casts it to a page count.)
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (size_t i = 0; i < catalog_.size(); ++i) {
+    for (const double bad : bad_values) {
+      Configuration config = catalog_.DefaultConfiguration();
+      config[i] = bad;
+      std::string reason;
+      EXPECT_FALSE(engine_.ValidateBoot(config, &reason))
+          << catalog_.knob(i).name << " = " << bad;
+      EXPECT_NE(reason.find(catalog_.knob(i).name), std::string::npos)
+          << reason;
+    }
+  }
 }
 
 TEST_F(EngineTest, BootFailureResultMatchesPaperSentinel) {

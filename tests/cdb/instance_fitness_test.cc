@@ -113,6 +113,16 @@ TEST_F(CdbInstanceTest, FailedBootKeepsPreviousConfiguration) {
   const DeployOutcome outcome = instance_.DeployConfiguration(bad);
   EXPECT_FALSE(outcome.booted);
   EXPECT_EQ(instance_.active_configuration(), before);
+
+  // A NaN buffer pool is a failed boot too, charged like one.
+  Configuration nan_pool = before;
+  nan_pool[static_cast<size_t>(catalog_.IndexOf("innodb_buffer_pool_size"))] =
+      std::numeric_limits<double>::quiet_NaN();
+  const DeployOutcome nan_outcome = instance_.DeployConfiguration(nan_pool);
+  EXPECT_FALSE(nan_outcome.booted);
+  EXPECT_DOUBLE_EQ(nan_outcome.deploy_seconds,
+                   CdbInstance::kRestartDeploySeconds);
+  EXPECT_EQ(instance_.active_configuration(), before);
 }
 
 TEST_F(CdbInstanceTest, StressTestWarmsInstance) {

@@ -1,13 +1,10 @@
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/flat_hash.h"
-#include "common/flat_lru.h"
 #include "common/rng.h"
 
 namespace hunter::common {
@@ -77,84 +74,6 @@ TEST(FlatHashMap64Test, ResetReusesSlab) {
   EXPECT_EQ(map.Find(5), nullptr);
   EXPECT_TRUE(map.Reset(10));   // smaller: still reused
   EXPECT_FALSE(map.Reset(100000));  // bigger: must grow
-}
-
-TEST(FlatLruTest, InsertEvictOrder) {
-  FlatLru lru(3);
-  lru.InsertFront(10);
-  lru.InsertFront(11);
-  lru.InsertFront(12);
-  EXPECT_EQ(lru.size(), 3u);
-  EXPECT_EQ(lru.key(lru.front()), 12u);
-  EXPECT_EQ(lru.key(lru.back()), 10u);
-
-  lru.MoveToFront(lru.Find(10));  // 10 becomes MRU; 11 is now LRU
-  const uint32_t victim = lru.EvictBack();
-  EXPECT_EQ(lru.key(victim), 11u);
-  EXPECT_EQ(lru.Find(11), FlatLru::kNil);
-  EXPECT_NE(lru.Find(10), FlatLru::kNil);
-  EXPECT_EQ(lru.size(), 2u);
-}
-
-TEST(FlatLruTest, InsertBackIsColdest) {
-  FlatLru lru(4);
-  lru.InsertFront(1);
-  lru.InsertBack(2);
-  EXPECT_EQ(lru.key(lru.back()), 2u);
-  EXPECT_EQ(lru.key(lru.EvictBack()), 2u);
-}
-
-TEST(FlatLruTest, WalkColdToWarm) {
-  FlatLru lru(4);
-  for (uint64_t k = 0; k < 4; ++k) lru.InsertFront(k);
-  std::vector<uint64_t> cold_to_warm;
-  for (uint32_t slot = lru.back(); slot != FlatLru::kNil;
-       slot = lru.Warmer(slot)) {
-    cold_to_warm.push_back(lru.key(slot));
-  }
-  EXPECT_EQ(cold_to_warm, (std::vector<uint64_t>{0, 1, 2, 3}));
-}
-
-TEST(FlatLruTest, ResetReusesSlabAndClears) {
-  FlatLru lru(8);
-  for (uint64_t k = 0; k < 8; ++k) lru.InsertFront(k);
-  EXPECT_TRUE(lru.Reset(8));
-  EXPECT_EQ(lru.size(), 0u);
-  EXPECT_EQ(lru.front(), FlatLru::kNil);
-  EXPECT_EQ(lru.Find(3), FlatLru::kNil);
-  EXPECT_TRUE(lru.Reset(4));    // shrink reuses
-  EXPECT_FALSE(lru.Reset(16));  // growth reallocates
-  for (uint64_t k = 0; k < 16; ++k) lru.InsertFront(k);
-  EXPECT_EQ(lru.size(), 16u);
-}
-
-// Mirror a reference LRU (deque + map) through a random mixed workload.
-TEST(FlatLruTest, MatchesReferenceUnderRandomOps) {
-  constexpr uint64_t kCapacity = 13;
-  FlatLru lru(kCapacity);
-  std::deque<uint64_t> ref;  // front = MRU
-  Rng rng(0x10C4);
-  for (int op = 0; op < 30000; ++op) {
-    const uint64_t key = rng.NextU64() % 40;
-    const uint32_t slot = lru.Find(key);
-    const auto it = std::find(ref.begin(), ref.end(), key);
-    ASSERT_EQ(slot != FlatLru::kNil, it != ref.end()) << "op " << op;
-    if (slot != FlatLru::kNil) {
-      lru.MoveToFront(slot);
-      ref.erase(it);
-      ref.push_front(key);
-    } else {
-      if (lru.size() >= kCapacity) {
-        EXPECT_EQ(lru.key(lru.EvictBack()), ref.back());
-        ref.pop_back();
-      }
-      lru.InsertFront(key);
-      ref.push_front(key);
-    }
-    ASSERT_EQ(lru.size(), ref.size());
-    ASSERT_EQ(lru.key(lru.front()), ref.front());
-    ASSERT_EQ(lru.key(lru.back()), ref.back());
-  }
 }
 
 }  // namespace

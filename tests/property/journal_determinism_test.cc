@@ -137,8 +137,6 @@ TEST(JournalDeterminismTest, MetricVocabularyIsPinned) {
       "controller.failed_samples",
       "controller.round_seconds",
       "controller.clone_utilization",
-      "engine.pool_resets",
-      "engine.pool_slab_reuses",
       "hunter.ga_generations",
       "hunter.sso_refreshes",
       "hunter.ddpg_train_steps",

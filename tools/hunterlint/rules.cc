@@ -555,24 +555,20 @@ bool IsRawSimdToken(const std::string& t) {
   return false;
 }
 
-// Vector code is quarantined: kernels live in src/linalg/simd/ and the two
-// CPUID scan kernels in common/cpu.h; everything else calls the dispatched
-// linalg::simd entry points. The paths are substring-matched so test
-// fixtures that mirror the tree under testdata/ stay in scope.
+// Vector code is quarantined: kernels live in src/linalg/simd/; everything
+// else calls the dispatched linalg::simd entry points. The path is
+// substring-matched so test fixtures that mirror the tree under testdata/
+// stay in scope.
 void CheckRawIntrinsics(const FileCtx& ctx, std::vector<Violation>* out) {
-  if (ctx.rel_path.find("src/linalg/simd/") != std::string::npos ||
-      ctx.rel_path.find("common/cpu.h") != std::string::npos) {
-    return;
-  }
+  if (ctx.rel_path.find("src/linalg/simd/") != std::string::npos) return;
   for (const Token& t : ctx.lex->tokens) {
     if (t.kind != TokKind::kIdentifier) continue;
     if (IsRawSimdToken(t.text)) {
       out->push_back(
           {"no-raw-intrinsics-outside-simd", ctx.rel_path, t.line,
            "raw SIMD token '" + t.text +
-               "' — vector kernels are quarantined in src/linalg/simd/ "
-               "(plus the scan kernels in common/cpu.h); call the "
-               "dispatched linalg::simd entry points instead"});
+               "' — vector kernels are quarantined in src/linalg/simd/; "
+               "call the dispatched linalg::simd entry points instead"});
     }
   }
 }
@@ -688,8 +684,8 @@ std::string RuleDescription(const std::string& rule) {
   }
   if (rule == "no-raw-intrinsics-outside-simd") {
     return "bans raw vector intrinsics and register types (_mm*/__m128/"
-           "__m256d/...) outside src/linalg/simd/ and common/cpu.h — hot "
-           "paths call the runtime-dispatched linalg::simd kernels";
+           "__m256d/...) outside src/linalg/simd/ — hot paths call the "
+           "runtime-dispatched linalg::simd kernels";
   }
   if (rule == "no-alloc-in-hot-loop") {
     return "bans new/push_back/emplace_back/resize/std::vector "

@@ -15,7 +15,7 @@
 //                              allocating Matrix::Row() per iteration —
 //                              they take the non-allocating RowView/RowSpan
 //   no-raw-intrinsics-outside-simd  vector intrinsics stay in
-//                              src/linalg/simd/ and common/cpu.h
+//                              src/linalg/simd/
 //   no-alloc-in-hot-loop       no new/push_back/resize/vector construction
 //                              in loops of functions annotated
 //                              `// hunterlint: hot`

@@ -1,7 +1,6 @@
 // Clean fixture: this file sits under src/linalg/simd/, the one directory
-// (plus the scan kernels in common/cpu.h) where raw vector intrinsics are
-// legal, so the same tokens that fire in violations/raw_intrinsics.cc are
-// quiet here.
+// where raw vector intrinsics are legal, so the same tokens that fire in
+// violations/raw_intrinsics.cc are quiet here.
 
 #include <immintrin.h>
 

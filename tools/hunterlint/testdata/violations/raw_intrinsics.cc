@@ -1,6 +1,6 @@
-// Violation fixture: raw vector intrinsics outside src/linalg/simd/ (and
-// common/cpu.h) are quarantined — hot paths call the runtime-dispatched
-// linalg::simd kernels instead.
+// Violation fixture: raw vector intrinsics outside src/linalg/simd/ are
+// quarantined — hot paths call the runtime-dispatched linalg::simd kernels
+// instead.
 
 namespace fixture {
 
