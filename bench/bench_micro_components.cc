@@ -1,14 +1,20 @@
 // Microbenchmarks (google-benchmark) for the per-step costs behind the
 // paper's Table 1 and for the core ML components: one simulated stress
 // test, a DDPG training step, a GP refit + EI sweep, a PCA fit, a Random
-// Forest fit, and the lock-table replay.
+// Forest fit (serial and pooled), and the lock-table replay. Each explains
+// one layer's share of a tuning run; bench/e2e times the run itself.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
+#include <thread>
 
 #include "cdb/knob_catalog.h"
 #include "cdb/lock_manager.h"
 #include "cdb/simulated_engine.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "ml/ddpg.h"
 #include "ml/gaussian_process.h"
@@ -103,7 +109,13 @@ void BM_PcaFit63Metrics(benchmark::State& state) {
 }
 BENCHMARK(BM_PcaFit63Metrics);
 
+// pooled:0 fits serially. pooled:1 fits the way a search-space refresh
+// does (SearchSpaceOptimizer::Optimize): on a pool of
+// min(hardware_concurrency(), num_trees) workers, made for each fit. Both
+// are timed by the wall clock, since the workers' CPU time is not the
+// calling thread's.
 void BM_RandomForest200Trees(benchmark::State& state) {
+  const bool pooled = state.range(0) != 0;
   common::Rng rng(6);
   linalg::Matrix x(140, 65);
   std::vector<double> y(140);
@@ -111,14 +123,26 @@ void BM_RandomForest200Trees(benchmark::State& state) {
     for (size_t c = 0; c < 65; ++c) x.At(r, c) = rng.Uniform();
     y[r] = rng.Uniform();
   }
+  const ml::RandomForestOptions options;
+  const unsigned cores = std::thread::hardware_concurrency();
+  const size_t threads =
+      pooled ? std::min<size_t>(cores == 0 ? 1 : cores, options.num_trees)
+             : 1;
   for (auto _ : state) {
+    std::unique_ptr<common::ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<common::ThreadPool>(threads);
     ml::RandomForest forest;
     common::Rng fit_rng(7);
-    forest.Fit(x, y, ml::RandomForestOptions{}, &fit_rng);
+    forest.Fit(x, y, options, &fit_rng, pool.get());
     benchmark::DoNotOptimize(forest.RankFeatures());
   }
+  state.counters["threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_RandomForest200Trees);
+BENCHMARK(BM_RandomForest200Trees)
+    ->ArgName("pooled")
+    ->Arg(0)
+    ->Arg(1)
+    ->UseRealTime();
 
 void BM_LockReplay(benchmark::State& state) {
   common::Rng rng(8);

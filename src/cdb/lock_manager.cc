@@ -27,9 +27,8 @@ LockSimResult LockManager::Simulate(const LockSimConfig& config,
   Table* lock_table = table != nullptr ? table : &local_table;
   lock_table->Reset(expected_rows);
 
-  // Bind the row sampler once — its cached constants replace the per-draw
-  // (n, theta) check rng->Zipf did on every row pick, and when the caller
-  // supplies the table they survive into the next Simulate call too.
+  // Bind the row sampler once; when the caller supplies the table, its
+  // constants survive into the next Simulate call too.
   common::ZipfTable local_zipf;
   common::ZipfTable* rows = zipf != nullptr ? zipf : &local_zipf;
   rows->Rebind(config.hot_rows, config.zipf_theta);

@@ -54,11 +54,10 @@ class LockManager {
   // `zipf` optionally supplies a caller-owned row sampler so its cached
   // (hot_rows, zipf_theta) constants survive across calls (the simulated
   // engine keeps one per instance); it is rebound to the config's
-  // distribution here, and the draw stream is identical to the
-  // rng->Zipf(hot_rows, zipf_theta) calls it replaces. `table` optionally
-  // supplies a caller-owned scratch lock table (reset here), which skips
-  // the per-call slab allocation. Pass nullptr for either to use
-  // call-local state; the simulation's results are identical both ways.
+  // distribution here. `table` optionally supplies a caller-owned scratch
+  // lock table (reset here), which skips the per-call slab allocation.
+  // Pass nullptr for either to use call-local state; the simulation's
+  // results are identical both ways.
   static LockSimResult Simulate(const LockSimConfig& config, common::Rng* rng,
                                 common::ZipfTable* zipf = nullptr,
                                 Table* table = nullptr);

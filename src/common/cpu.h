@@ -10,9 +10,9 @@
 //     scalar tier (read once, at the first ActiveSimdTier() call). This is
 //     how the forced-scalar ctest label runs the entire suite through the
 //     fallback kernels on an AVX2 host.
-//   * SetSimdTierForTesting / ClearSimdTierForTesting let tests and the
-//     bench harness flip tiers in-process to time and compare both paths in
-//     one run. Requests for a tier the hardware lacks clamp to scalar.
+//   * SetSimdTierForTesting / ClearSimdTierForTesting let tests flip tiers
+//     in-process to compare both paths in one run. Requests for a tier the
+//     hardware lacks clamp to scalar.
 //
 // Raw vector intrinsics are only permitted under src/linalg/simd/ (enforced
 // by the hunterlint rule no-raw-intrinsics-outside-simd).
@@ -44,8 +44,8 @@ SimdTier HardwareSimdTier();
 const char* SimdTierName(SimdTier tier);
 
 // Pins ActiveSimdTier() to `tier` (clamped to HardwareSimdTier()) until
-// cleared. For tests and the bench harness only — production code never
-// calls this. Thread-safe; takes effect on the next dispatch.
+// cleared. For tests only — production code never calls this. Thread-safe;
+// takes effect on the next dispatch.
 void SetSimdTierForTesting(SimdTier tier);
 void ClearSimdTierForTesting();
 

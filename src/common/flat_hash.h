@@ -11,8 +11,8 @@
 //   - `Reset(expected)` clears contents but keeps the slabs whenever they are
 //     already big enough, so a lock table reused across evaluations
 //     performs zero allocations in steady state.
-//   - Deletion uses backward-shift (Robin-Hood style compaction of the probe
-//     chain) instead of tombstones, so long-lived tables never degrade.
+//   - Entries are never removed one at a time, only all at once by
+//     `Reset`, so probe chains need neither tombstones nor compaction.
 //   - Iteration order is never exposed: the map supports only point lookups,
 //     keeping it trivially safe under the determinism rules (there is no
 //     order to accidentally emit).
@@ -33,13 +33,13 @@ class FlatHashMap64 {
   FlatHashMap64() = default;
   explicit FlatHashMap64(size_t expected_keys) { Reset(expected_keys); }
 
-  // Clears all entries and ensures `expected_keys` fit without growth.
-  // Returns true when the existing slab was large enough to be reused (no
-  // reallocation happened). Clearing is O(1): occupancy is an epoch stamp
-  // per slot, so emptying the table is one epoch bump rather than a walk
-  // over every slot (a table sized for a large run would otherwise keep
-  // paying a full-slab sweep on every later, smaller Reset).
-  bool Reset(size_t expected_keys) {
+  // Clears all entries and ensures `expected_keys` fit without growth,
+  // reusing the existing slab when it is large enough. Clearing is O(1):
+  // occupancy is an epoch stamp per slot, so emptying the table is one
+  // epoch bump rather than a walk over every slot (a table sized for a
+  // large run would otherwise keep paying a full-slab sweep on every later,
+  // smaller Reset).
+  void Reset(size_t expected_keys) {
     const size_t wanted = TableSizeFor(expected_keys);
     size_ = 0;
     if (slots_.size() >= wanted && !slots_.empty()) {
@@ -48,12 +48,11 @@ class FlatHashMap64 {
         for (Slot& slot : slots_) slot.epoch = 0;
         epoch_ = 1;
       }
-      return true;
+      return;
     }
     slots_.assign(wanted, Slot{});
     mask_ = wanted - 1;
     epoch_ = 1;
-    return false;
   }
 
   size_t size() const { return size_; }
@@ -92,33 +91,6 @@ class FlatHashMap64 {
     slots_[i].value = V{};
     ++size_;
     return slots_[i].value;
-  }
-
-  // Removes `key` if present; returns whether it was. Uses backward-shift
-  // deletion so probe chains stay compact without tombstones.
-  bool Erase(uint64_t key) {
-    if (slots_.empty()) return false;
-    size_t i = Bucket(key);
-    while (Used(i) && slots_[i].key != key) i = (i + 1) & mask_;
-    if (!Used(i)) return false;
-    size_t hole = i;
-    size_t j = i;
-    for (;;) {
-      j = (j + 1) & mask_;
-      if (!Used(j)) break;
-      const size_t ideal = Bucket(slots_[j].key);
-      // Entry at j may move into the hole iff the hole lies on its probe
-      // path, i.e. distance(ideal -> j) >= distance(hole -> j).
-      if (((j - ideal) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole].key = slots_[j].key;
-        slots_[hole].value = std::move(slots_[j].value);
-        slots_[hole].epoch = epoch_;
-        hole = j;
-      }
-    }
-    slots_[hole].epoch = epoch_ - 1;
-    --size_;
-    return true;
   }
 
  private:

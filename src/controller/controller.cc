@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +23,19 @@ struct LaneCharge {
   double seconds = 0.0;
   std::vector<obs::Attr> attrs;
 };
+
+// A normalized configuration holds one value per catalog knob. The catalog
+// and the engine index both vectors by knob, and the catalog checks the
+// length only with an assert, so a wrong length is rejected here, before
+// anything is charged or dispatched. `index` names it within its batch.
+void RequireKnobCount(const std::vector<double>& normalized, size_t index,
+                      size_t knobs) {
+  if (normalized.size() == knobs) return;
+  throw std::invalid_argument(
+      "configuration " + std::to_string(index) + " has " +
+      std::to_string(normalized.size()) + " values, but the catalog has " +
+      std::to_string(knobs) + " knobs");
+}
 
 }  // namespace
 
@@ -128,6 +142,9 @@ void Controller::MarkEvaluationFailed(Sample* sample,
 
 std::vector<Sample> Controller::EvaluateBatch(
     const std::vector<std::vector<double>>& normalized_configs) {
+  for (size_t i = 0; i < normalized_configs.size(); ++i) {
+    RequireKnobCount(normalized_configs[i], i, catalog().size());
+  }
   const cdb::PerformanceSummary& defaults = DefaultPerformance();
   std::vector<Sample> samples(normalized_configs.size());
   obs::Tracer& tracer = journal_.tracer();
@@ -378,6 +395,7 @@ std::vector<Sample> Controller::EvaluateBatch(
 }
 
 void Controller::DeployToUser(const std::vector<double>& normalized) {
+  RequireKnobCount(normalized, 0, catalog().size());
   const cdb::Configuration config =
       catalog().DenormalizeConfiguration(normalized);
   const cdb::DeployOutcome outcome =

@@ -143,7 +143,7 @@ EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps = 64);
 
 // Cyclic Jacobi rotations — the original implementation, retained as the
 // independent reference oracle for the QL path (tested against it on random
-// symmetric matrices; see tests/linalg and bench_micro_hotpaths).
+// symmetric matrices; see EigenTest in tests/linalg/matrix_test.cc).
 EigenResult SymmetricEigenJacobi(const Matrix& symmetric, int max_sweeps = 64);
 
 // Cholesky factorization A = L * L^T of a symmetric positive-definite

@@ -38,8 +38,8 @@
 // — libm's polynomials are not reproducible lane-wise — so callers split
 // their loops: the algebraic part runs here, the libm call stays scalar.
 //
-// Raw intrinsics are permitted only in this directory and common/cpu.h
-// (hunterlint rule no-raw-intrinsics-outside-simd).
+// Raw intrinsics are permitted only in this directory (hunterlint rule
+// no-raw-intrinsics-outside-simd).
 
 #ifndef HUNTER_LINALG_SIMD_SIMD_H_
 #define HUNTER_LINALG_SIMD_SIMD_H_
@@ -63,7 +63,8 @@ inline bool DispatchAvx2() {
 }
 
 // The tier this process is actually dispatching at (stubs report scalar
-// even if the CPU has AVX2), for bench reports and obs metrics.
+// even if the CPU has AVX2), by name and as the index bench_e2e and the
+// obs metrics record.
 inline const char* ActiveTierName() {
   return common::SimdTierName(DispatchAvx2() ? common::SimdTier::kAvx2Fma
                                              : common::SimdTier::kScalar);

@@ -20,8 +20,9 @@
 //    solve computes the long way). Each candidate's operations and their
 //    order are those of a one-candidate substitution, so the outputs are
 //    the same bits at both SIMD tiers; GpTest.BatchOutputsMatchGoldenDigest
-//    pins them, and bench_micro_hotpaths checks them against an
-//    independent formula (ref::SeedGp) to 1e-9.
+//    pins them, and GpTest.WindowGrowthMatchesSeedGp and
+//    GpTest.ExpectedImprovementBatchMatchesSeedGp check them against an
+//    independent formula (ref::SeedGp, tests/ml/seed_ml_ref.h) to 1e-9.
 
 #ifndef HUNTER_ML_GAUSSIAN_PROCESS_H_
 #define HUNTER_ML_GAUSSIAN_PROCESS_H_

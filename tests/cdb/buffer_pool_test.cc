@@ -69,9 +69,10 @@ TEST(BufferPoolTest, HitRatioGrowsWithCapacityUnderZipf) {
   auto measure = [&](uint64_t capacity) {
     BufferPool pool(capacity, 4096);
     common::Rng local(42);
-    for (int i = 0; i < 5000; ++i) pool.Access(local.Zipf(4096, 0.8), false);
+    const common::ZipfTable zipf(4096, 0.8);
+    for (int i = 0; i < 5000; ++i) pool.Access(zipf.Sample(&local), false);
     pool.ResetCounters();
-    for (int i = 0; i < 5000; ++i) pool.Access(local.Zipf(4096, 0.8), false);
+    for (int i = 0; i < 5000; ++i) pool.Access(zipf.Sample(&local), false);
     return pool.HitRatio();
   };
   const double small = measure(64);
@@ -147,8 +148,9 @@ void ReplayAndCompare(BufferPool* pool, seedref::SeedBufferPool* seed,
                       common::Rng* rng, uint64_t page_space, double dirty_prob,
                       int steps, uint64_t flush_every, uint64_t flush_budget,
                       const std::string& context) {
+  const common::ZipfTable zipf(page_space, 0.9);
   for (int i = 0; i < steps; ++i) {
-    const uint64_t page = rng->Zipf(page_space, 0.9);
+    const uint64_t page = zipf.Sample(rng);
     const bool dirty = rng->Bernoulli(dirty_prob);
     const bool want = seed->Access(page, dirty);
     const bool got = pool->Access(page, dirty);

@@ -1,11 +1,12 @@
 // Seed-faithful replicas of the pre-fast-path hot structures, shared by the
-// equivalence gtests (tests/cdb/engine_fastpath_test.cc and friends) and the
-// hot-path bench (bench/bench_micro_hotpaths.cc).
+// equivalence gtests (tests/cdb/engine_fastpath_test.cc and
+// tests/cdb/buffer_pool_test.cc).
 //
 // Everything in hunter::seedref reproduces the pre-PR implementations
 // verbatim: SeedBufferPool is the std::list + std::unordered_map LRU,
-// SeedZipf is the per-Rng cached Zipf with its per-draw std::pow(0.5, theta),
-// SeedLockSimulate is the std::unordered_map lock table, and SeedEngine is
+// SeedZipf (tests/common/seed_zipf_ref.h) is the per-Rng cached Zipf with
+// its per-draw std::pow(0.5, theta), SeedLockSimulate is the
+// std::unordered_map lock table, and SeedEngine is
 // the engine Run() that constructed a fresh pool per evaluation, funneled
 // page draws and lock-row draws through one shared Zipf constants cache, and
 // iterated the WAL fixed point with the epsilon-only convergence test. The
@@ -13,7 +14,7 @@
 // "replica output == engine output, bit for bit, on a shared seed" is the
 // equivalence contract the fast path is gated on (tolerance 0.0).
 //
-// These are reference implementations for tests and benches only — they are
+// These are reference implementations for tests only — they are
 // deliberately NOT annotated as hot and never ship in src/.
 
 #ifndef HUNTER_TESTS_CDB_SEED_ENGINE_REF_H_
@@ -38,6 +39,7 @@
 #include "cdb/wal.h"
 #include "cdb/workload_profile.h"
 #include "common/rng.h"
+#include "tests/common/seed_zipf_ref.h"
 
 namespace hunter::seedref {
 
@@ -153,55 +155,6 @@ class SeedBufferPool {
   uint64_t misses_ = 0;
   uint64_t dirty_evictions_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// SeedZipf: the pre-PR Rng::Zipf with its cache hoisted into an explicit
-// state object (the seed kept this state on the Rng itself, one cache shared
-// by every distribution drawn through that Rng). The per-draw
-// std::pow(0.5, theta) in the rank mapping is preserved.
-// ---------------------------------------------------------------------------
-struct SeedZipfState {
-  uint64_t n = 0;
-  double theta = -1.0;
-  double zetan = 0.0;
-  double alpha = 0.0;
-  double eta = 0.0;
-};
-
-inline uint64_t SeedZipf(SeedZipfState* s, common::Rng* rng, uint64_t n,
-                         double theta) {
-  if (n <= 1 || theta <= 0.0) return n == 0 ? 0 : rng->NextU64() % n;
-  if (n != s->n || theta != s->theta) {
-    s->n = n;
-    s->theta = theta;
-    constexpr uint64_t kExactTerms = 16384;
-    double zetan = 0.0;
-    const uint64_t exact = std::min(n, kExactTerms);
-    for (uint64_t i = 1; i <= exact; ++i) {
-      zetan += 1.0 / std::pow(static_cast<double>(i), theta);
-    }
-    if (n > exact && theta != 1.0) {
-      const double a = static_cast<double>(exact);
-      const double b = static_cast<double>(n);
-      zetan += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
-               (1.0 - theta);
-    }
-    s->zetan = zetan;
-    const double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
-    s->alpha = 1.0 / (1.0 - theta);
-    s->eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-             (1.0 - zeta2 / zetan);
-  }
-  const double u = rng->Uniform();
-  const double uz = u * s->zetan;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, s->theta)) return 1;
-  const double rank =
-      static_cast<double>(s->n) *
-      std::pow(s->eta * u - s->eta + 1.0, s->alpha);
-  uint64_t result = static_cast<uint64_t>(rank);
-  return result >= s->n ? s->n - 1 : result;
-}
 
 // ---------------------------------------------------------------------------
 // SeedLockSimulate: the pre-PR LockManager::Simulate, verbatim, with its

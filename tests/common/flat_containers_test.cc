@@ -22,11 +22,11 @@ TEST(FlatHashMap64Test, InsertFindErase) {
   EXPECT_EQ(*map.Find(43), 8);
   EXPECT_EQ(map.size(), 2u);
 
-  EXPECT_TRUE(map.Erase(42));
-  EXPECT_FALSE(map.Erase(42));
+  // Reset is the only erase: it removes every entry at once.
+  map.Reset(2);
+  EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.Find(42), nullptr);
-  EXPECT_EQ(*map.Find(43), 8);
-  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.Find(43), nullptr);
 }
 
 TEST(FlatHashMap64Test, AtDefaultInsertsAndIsStableAcrossGrowth) {
@@ -45,21 +45,20 @@ TEST(FlatHashMap64Test, MatchesStdMapUnderRandomOps) {
   std::map<uint64_t, uint32_t> ref;
   Rng rng(0xF1A7);
   for (int op = 0; op < 20000; ++op) {
-    const uint64_t key = rng.NextU64() % 257;  // force collisions + reuse
-    const double which = rng.Uniform();
-    if (which < 0.5) {
+    // 257 keys over a table that starts at 8 slots: collisions, growth,
+    // and overwrites of existing keys.
+    const uint64_t key = rng.NextU64() % 257;
+    if (rng.Uniform() < 0.5) {
       const uint32_t value = static_cast<uint32_t>(rng.NextU64());
       flat.At(key) = value;
       ref[key] = value;
-    } else if (which < 0.8) {
+    } else {
       const uint32_t* found = flat.Find(key);
       const auto it = ref.find(key);
       ASSERT_EQ(found != nullptr, it != ref.end()) << "op " << op;
       if (found != nullptr) {
         EXPECT_EQ(*found, it->second);
       }
-    } else {
-      EXPECT_EQ(flat.Erase(key), ref.erase(key) > 0) << "op " << op;
     }
     ASSERT_EQ(flat.size(), ref.size());
   }
@@ -67,13 +66,18 @@ TEST(FlatHashMap64Test, MatchesStdMapUnderRandomOps) {
 
 TEST(FlatHashMap64Test, ResetReusesSlab) {
   FlatHashMap64<int> map;
-  EXPECT_FALSE(map.Reset(100));  // first sizing allocates
+  map.Reset(100);
   for (uint64_t k = 0; k < 100; ++k) map.At(k) = 1;
-  EXPECT_TRUE(map.Reset(100));  // same size: slab reused
+  map.Reset(100);  // same size: the slab is reused, the entries are gone
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.Find(5), nullptr);
-  EXPECT_TRUE(map.Reset(10));   // smaller: still reused
-  EXPECT_FALSE(map.Reset(100000));  // bigger: must grow
+  map.At(5) = 2;
+  map.Reset(10);  // smaller: still reused
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.Find(5), nullptr);
+  map.Reset(100000);  // bigger: grows
+  EXPECT_TRUE(map.empty());
+  for (uint64_t k = 0; k < 100; ++k) EXPECT_EQ(map.Find(k), nullptr) << k;
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/common/seed_zipf_ref.h"
+
 namespace hunter::common {
 namespace {
 
@@ -93,17 +95,19 @@ TEST(RngTest, BernoulliMatchesProbability) {
 
 TEST(RngTest, ZipfStaysInRange) {
   Rng rng(29);
+  const ZipfTable zipf(1000, 0.8);
   for (int i = 0; i < 10000; ++i) {
-    EXPECT_LT(rng.Zipf(1000, 0.8), 1000u);
+    EXPECT_LT(zipf.Sample(&rng), 1000u);
   }
 }
 
 TEST(RngTest, ZipfIsSkewedTowardLowRanks) {
   Rng rng(31);
+  const ZipfTable zipf(10000, 0.9);
   int low = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(10000, 0.9) < 100) ++low;  // top 1% of keys
+    if (zipf.Sample(&rng) < 100) ++low;  // top 1% of keys
   }
   // With theta=0.9 the head should absorb far more than the uniform 1%.
   EXPECT_GT(static_cast<double>(low) / n, 0.2);
@@ -111,10 +115,11 @@ TEST(RngTest, ZipfIsSkewedTowardLowRanks) {
 
 TEST(RngTest, ZipfThetaZeroIsUniformish) {
   Rng rng(37);
+  const ZipfTable zipf(1000, 0.0);
   int low = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(1000, 0.0) < 100) ++low;
+    if (zipf.Sample(&rng) < 100) ++low;
   }
   EXPECT_NEAR(static_cast<double>(low) / n, 0.1, 0.02);
 }
@@ -156,59 +161,17 @@ TEST(RngTest, ForkProducesIndependentStream) {
 }
 
 // ---------------------------------------------------------------------------
-// Zipf fast-path equivalence. SeedFormulaZipf below is the pre-fast-path
-// Rng::Zipf verbatim (per-Rng constants cache, per-draw std::pow(0.5, theta)
-// in the rank mapping); the cached implementation must reproduce its stream
-// bit for bit — same draws consumed, same ranks returned — across every
-// (n, theta) cache transition and the degenerate paths.
+// Zipf fast-path equivalence: ZipfTable must reproduce the seed's per-call
+// Rng::Zipf (seedref::SeedZipf, tests/common/seed_zipf_ref.h) bit for bit —
+// same draws consumed, same ranks returned — across every (n, theta)
+// rebinding and the degenerate paths.
 // ---------------------------------------------------------------------------
-
-struct SeedFormulaZipfState {
-  uint64_t n = 0;
-  double theta = -1.0;
-  double zetan = 0.0;
-  double alpha = 0.0;
-  double eta = 0.0;
-};
-
-uint64_t SeedFormulaZipf(SeedFormulaZipfState* s, Rng* rng, uint64_t n,
-                         double theta) {
-  if (n <= 1 || theta <= 0.0) return n == 0 ? 0 : rng->NextU64() % n;
-  if (n != s->n || theta != s->theta) {
-    s->n = n;
-    s->theta = theta;
-    constexpr uint64_t kExactTerms = 16384;
-    double zetan = 0.0;
-    const uint64_t exact = std::min(n, kExactTerms);
-    for (uint64_t i = 1; i <= exact; ++i) {
-      zetan += 1.0 / std::pow(static_cast<double>(i), theta);
-    }
-    if (n > exact && theta != 1.0) {
-      const double a = static_cast<double>(exact);
-      const double b = static_cast<double>(n);
-      zetan += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
-               (1.0 - theta);
-    }
-    s->zetan = zetan;
-    const double zeta2 = 1.0 + 1.0 / std::pow(2.0, theta);
-    s->alpha = 1.0 / (1.0 - theta);
-    s->eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-             (1.0 - zeta2 / zetan);
-  }
-  const double u = rng->Uniform();
-  const double uz = u * s->zetan;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, s->theta)) return 1;
-  const double rank = static_cast<double>(s->n) *
-                      std::pow(s->eta * u - s->eta + 1.0, s->alpha);
-  uint64_t result = static_cast<uint64_t>(rank);
-  return result >= s->n ? s->n - 1 : result;
-}
 
 TEST(RngTest, ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions) {
   // Alternating (n, theta) pairs force a constants recompute on nearly every
-  // draw block, exercising both sides of the cache (small exact-sum n, large
-  // integral-tail n) plus the degenerate paths.
+  // draw block, on both sides: the seed formula's cache and one ZipfTable
+  // rebound per block. They cover small exact-sum n, large integral-tail n
+  // and the degenerate paths.
   const struct {
     uint64_t n;
     double theta;
@@ -219,12 +182,15 @@ TEST(RngTest, ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions) {
   };
   Rng seed_rng(2024);
   Rng fast_rng(2024);
-  SeedFormulaZipfState state;
+  seedref::SeedZipfState state;
+  ZipfTable table;
   for (int round = 0; round < 32; ++round) {
     for (const auto& p : params) {
+      table.Rebind(p.n, p.theta);
       for (int i = 0; i < 8; ++i) {
-        const uint64_t want = SeedFormulaZipf(&state, &seed_rng, p.n, p.theta);
-        const uint64_t got = fast_rng.Zipf(p.n, p.theta);
+        const uint64_t want =
+            seedref::SeedZipf(&state, &seed_rng, p.n, p.theta);
+        const uint64_t got = table.Sample(&fast_rng);
         ASSERT_EQ(want, got)
             << "n=" << p.n << " theta=" << p.theta << " round " << round;
       }
@@ -232,21 +198,6 @@ TEST(RngTest, ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions) {
   }
   // Same draw count and order on both sides.
   EXPECT_EQ(seed_rng.NextU64(), fast_rng.NextU64());
-}
-
-TEST(RngTest, ZipfTableSampleMatchesRngZipfDrawForDraw) {
-  Rng direct_rng(7);
-  Rng table_rng(7);
-  for (const double theta : {0.0, 0.6, 0.99}) {
-    for (const uint64_t n : {uint64_t{1}, uint64_t{512}, uint64_t{1} << 20}) {
-      ZipfTable table(n, theta);
-      for (int i = 0; i < 64; ++i) {
-        ASSERT_EQ(direct_rng.Zipf(n, theta), table.Sample(&table_rng))
-            << "n=" << n << " theta=" << theta;
-      }
-    }
-  }
-  EXPECT_EQ(direct_rng.NextU64(), table_rng.NextU64());
 }
 
 TEST(RngTest, ZipfTableFillMatchesSequentialSample) {

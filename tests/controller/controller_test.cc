@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -165,6 +167,59 @@ TEST_F(ControllerTest, TracksStressTestCount) {
   auto controller = Make(2);
   controller->EvaluateBatch({DefaultNormalized(), DefaultNormalized()});
   EXPECT_EQ(controller->total_stress_tests(), 2u);
+}
+
+TEST_F(ControllerTest, RejectsConfigurationsOfTheWrongLength) {
+  // The catalog checks a configuration's length only with an assert, which
+  // release builds drop, so a short configuration used to be read past its
+  // end and a long one past the catalog's. Both are rejected before the
+  // baseline is measured or anything is dispatched, charged or recorded.
+  auto controller = Make(2);
+  std::vector<double> short_config = DefaultNormalized();
+  short_config.pop_back();
+  std::vector<double> long_config = DefaultNormalized();
+  long_config.push_back(0.5);
+  const size_t knobs = catalog_.size();
+  const size_t records = controller->journal().records().size();
+
+  EXPECT_THROW(controller->EvaluateBatch({short_config}),
+               std::invalid_argument);
+  try {
+    controller->EvaluateBatch({DefaultNormalized(), long_config});
+    ADD_FAILURE() << "a long configuration was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "configuration 1 has " + std::to_string(knobs + 1) +
+                  " values, but the catalog has " + std::to_string(knobs) +
+                  " knobs");
+  }
+  EXPECT_THROW(controller->DeployToUser(short_config), std::invalid_argument);
+  EXPECT_THROW(controller->DeployToUser(long_config), std::invalid_argument);
+  EXPECT_EQ(controller->clock().seconds(), 0.0);
+  EXPECT_EQ(controller->total_stress_tests(), 0u);
+  EXPECT_EQ(controller->journal().records().size(), records);
+  EXPECT_EQ(controller->user_instance().active_configuration(),
+            catalog_.DefaultConfiguration());
+
+  // The rejected calls left no trace: a valid batch returns what a fresh
+  // controller's first batch returns, at the same clock.
+  std::vector<double> tuned = DefaultNormalized();
+  tuned[static_cast<size_t>(catalog_.IndexOf("innodb_io_capacity"))] = 0.8;
+  const std::vector<std::vector<double>> batch = {DefaultNormalized(), tuned};
+  auto fresh = Make(2);
+  const std::vector<Sample> want = fresh->EvaluateBatch(batch);
+  const std::vector<Sample> got = controller->EvaluateBatch(batch);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].knobs, want[i].knobs) << "sample " << i;
+    EXPECT_EQ(got[i].metrics, want[i].metrics) << "sample " << i;
+    EXPECT_EQ(got[i].throughput_tps, want[i].throughput_tps) << "sample " << i;
+    EXPECT_EQ(got[i].latency_p95_ms, want[i].latency_p95_ms) << "sample " << i;
+    EXPECT_EQ(got[i].fitness, want[i].fitness) << "sample " << i;
+    EXPECT_EQ(got[i].attempts, want[i].attempts) << "sample " << i;
+  }
+  EXPECT_EQ(controller->clock().seconds(), fresh->clock().seconds());
+  EXPECT_EQ(controller->total_stress_tests(), fresh->total_stress_tests());
 }
 
 TEST_F(ControllerTest, ConcurrentActorsMatchSerialSemantics) {

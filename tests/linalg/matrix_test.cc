@@ -165,6 +165,36 @@ TEST(StatsHelpersTest, CovarianceOfIndependentColumns) {
   EXPECT_NEAR(cov.At(0, 1), 1.0, 1e-12);
 }
 
+// Covariance is a centered XᵀX GEMM, which sums in another order than the
+// textbook triple loop over the centered data (N−1 denominator), so the two
+// agree to rounding (1e-9). Shapes: a small pool, and PCA's 140-sample
+// window over the 63 engine metrics, standardized as Pca::Fit does.
+TEST(StatsHelpersTest, CovarianceMatchesNaiveTripleLoop) {
+  common::Rng rng(0xBEEF08);
+  const size_t shapes[][2] = {{40, 12}, {140, 63}};
+  for (const auto& [n, d] : shapes) {
+    Matrix data(n, d);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = 0; c < d; ++c) data.At(r, c) = rng.Uniform(-1.0, 1.0);
+    }
+    const Matrix x = Standardize(data, true);
+    const Matrix cov = Covariance(x);
+    ASSERT_EQ(cov.rows(), d);
+    ASSERT_EQ(cov.cols(), d);
+    const std::vector<double> means = ColumnMeans(x);
+    for (size_t a = 0; a < d; ++a) {
+      for (size_t b = 0; b < d; ++b) {
+        double sum = 0.0;
+        for (size_t r = 0; r < n; ++r) {
+          sum += (x.At(r, a) - means[a]) * (x.At(r, b) - means[b]);
+        }
+        EXPECT_NEAR(cov.At(a, b), sum / static_cast<double>(n - 1), 1e-9)
+            << "entry (" << a << ", " << b << ") at " << n << "x" << d;
+      }
+    }
+  }
+}
+
 TEST(EigenTest, DiagonalMatrixEigenvalues) {
   Matrix d({{3, 0}, {0, 1}});
   EigenResult eig = SymmetricEigen(d);

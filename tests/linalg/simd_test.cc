@@ -10,9 +10,11 @@
 
 #include "linalg/simd/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -289,6 +291,63 @@ TEST(SimdGemmTest, GemmTransposedAIntoBitIdentical) {
                               out_v.data());
       ExpectBitsEqual(out_s, out_v);
     }
+  }
+}
+
+// out(i, j) = start(i, j) + Σ a(i, kk)·b(kk, j) over kk ascending, each
+// product and sum rounded on its own: the textbook triple loop of
+// matrix.h's numeric contract. `a` is m x k, or k x m when `transposed_a`.
+std::vector<double> TextbookGemm(const std::vector<double>& a,
+                                 bool transposed_a, size_t m, size_t k,
+                                 const std::vector<double>& b, size_t n,
+                                 std::vector<double> start) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double acc = start[i * n + j];
+      for (size_t kk = 0; kk < k; ++kk) {
+        acc += (transposed_a ? a[kk * m + i] : a[i * k + kk]) * b[kk * n + j];
+      }
+      start[i * n + j] = acc;
+    }
+  }
+  return start;
+}
+
+// The dispatched entry points (linalg::GemmInto in both accumulate modes,
+// GemmBiasInto, GemmTransposedAInto) equal the textbook loop bit for bit:
+// at the host's tier here, at the scalar tier in the force_scalar twin.
+// The shapes are the tile-boundary set above plus one 128³ product.
+TEST(SimdGemmTest, EntryPointsMatchTextbookLoopBitForBit) {
+  Rng rng(0x51D00A);
+  std::vector<GemmShape> shapes(std::begin(kGemmShapes),
+                                std::end(kGemmShapes));
+  shapes.push_back({128, 128, 128});
+  for (const GemmShape& s : shapes) {
+    // `a` serves as m x k and, for the transposed entry point, as k x m.
+    const std::vector<double> a = RandomVec(s.m * s.k, &rng);
+    const std::vector<double> b = RandomVec(s.k * s.n, &rng);
+    const std::vector<double> seed = RandomVec(s.m * s.n, &rng);
+    const std::vector<double> bias = RandomVec(s.n, &rng);
+    const std::vector<double> zeros(s.m * s.n, 0.0);
+    for (const bool accumulate : {false, true}) {
+      const std::vector<double>& start = accumulate ? seed : zeros;
+      std::vector<double> out = seed;
+      linalg::GemmInto(a.data(), s.m, s.k, b.data(), s.n, accumulate,
+                       out.data());
+      ExpectBitsEqual(TextbookGemm(a, false, s.m, s.k, b, s.n, start), out);
+      out = seed;
+      linalg::GemmTransposedAInto(a.data(), s.k, s.m, b.data(), s.n,
+                                  accumulate, out.data());
+      ExpectBitsEqual(TextbookGemm(a, true, s.m, s.k, b, s.n, start), out);
+    }
+    std::vector<double> bias_rows(s.m * s.n);
+    for (size_t i = 0; i < s.m; ++i) {
+      std::copy(bias.begin(), bias.end(), bias_rows.begin() + i * s.n);
+    }
+    std::vector<double> out(s.m * s.n);
+    linalg::GemmBiasInto(a.data(), s.m, s.k, b.data(), s.n, bias.data(),
+                         out.data());
+    ExpectBitsEqual(TextbookGemm(a, false, s.m, s.k, b, s.n, bias_rows), out);
   }
 }
 

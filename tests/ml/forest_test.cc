@@ -7,6 +7,7 @@
 #include "linalg/matrix.h"
 #include "ml/cart.h"
 #include "ml/random_forest.h"
+#include "tests/ml/seed_ml_ref.h"
 
 namespace hunter::ml {
 namespace {
@@ -153,6 +154,49 @@ TEST(RandomForestTest, PaperScaleTwoHundredTrees) {
   EXPECT_EQ(forest.num_trees(), 200u);
   const std::vector<size_t> ranking = forest.RankFeatures();
   EXPECT_EQ(ranking.size(), 10u);
+}
+
+// The seed forest (tests/ml/seed_ml_ref.h) fits every tree on a
+// materialized bootstrap copy with a sort per (node, feature); the
+// production forest presorts once and fits on index views. From one RNG
+// state both must grow the same trees, so importances and predictions agree
+// up to the order of the split sums (1e-9). Shapes: a small forest, and the
+// search-space refresh's 200 trees over 140 samples of 65 knobs.
+TEST(RandomForestTest, MatchesSeedReferenceForest) {
+  struct Shape {
+    size_t n, d, trees;
+  };
+  for (const Shape& s : {Shape{60, 12, 20}, Shape{140, 65, 200}}) {
+    common::Rng data_rng(0xBEEF06);
+    linalg::Matrix x;
+    std::vector<double> y;
+    ref::MakeRegressionData(s.n, s.d, &data_rng, &x, &y);
+    RandomForestOptions options;
+    options.num_trees = s.trees;
+
+    ref::RandomForest seed_forest;
+    RandomForest forest;
+    {
+      common::Rng rng(0xBEEF07);
+      seed_forest.Fit(x, y, options, &rng);
+    }
+    {
+      common::Rng rng(0xBEEF07);
+      forest.Fit(x, y, options, &rng);
+    }
+    ASSERT_EQ(forest.feature_importance().size(), s.d);
+    ASSERT_EQ(seed_forest.feature_importance().size(), s.d);
+    for (size_t c = 0; c < s.d; ++c) {
+      EXPECT_NEAR(forest.feature_importance()[c],
+                  seed_forest.feature_importance()[c], 1e-9)
+          << "importance " << c << ", " << s.trees << " trees";
+    }
+    for (size_t r = 0; r < 16; ++r) {
+      EXPECT_NEAR(forest.Predict(x.Row(r)), seed_forest.Predict(x.Row(r)),
+                  1e-9)
+          << "row " << r << ", " << s.trees << " trees";
+    }
+  }
 }
 
 }  // namespace

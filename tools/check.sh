@@ -7,21 +7,20 @@
 #   3. the full tier-1 ctest suite (includes the `lint` and `perf` labels),
 #      then a check that no listed test name carries a gtest raw byte dump
 #      (`N-byte object <...>`, printed for a parameter type without a
-#      PrintTo), whose bytes can change between discoveries
-#   4. the hot-path micro-benchmarks in smoke mode: one rep per benchmark,
-#      gating on the golden equivalence checks (optimized paths must match
-#      their seed-faithful reference implementations — the *_simd gates at
-#      bit-identity tolerance 0.0), not on timings
-#   5. the whole suite again with HUNTER_FORCE_SCALAR=1, pinning the
+#      PrintTo), whose bytes can change between discoveries, and a check
+#      that every equivalence gate (an optimized path against its reference
+#      implementation or golden data) is registered with its force_scalar
+#      twin
+#   4. the whole suite again with HUNTER_FORCE_SCALAR=1, pinning the
 #      vector-kernel dispatch (linalg/simd/) to the scalar fallbacks; the
 #      `force_scalar`-labeled duplicates already ran in stage 3, so this
 #      stage covers the remaining tests (-LE force_scalar)
-#   6. a tracecat smoke: emit two same-seed run journals, require them
+#   5. a tracecat smoke: emit two same-seed run journals, require them
 #      byte-identical, and render a breakdown + a cross-seed diff
-#   7. a sanitizer smoke: `ctest -L concurrency` under TSan
-#   8. the whole tier-1 suite under ASan+LSan, with
+#   6. a sanitizer smoke: `ctest -L concurrency` under TSan
+#   7. the whole tier-1 suite under ASan+LSan, with
 #      ASAN_OPTIONS=detect_leaks=1 so leaks fail at exit
-#   9. the whole tier-1 suite under UBSan (HUNTER_SANITIZE=undefined builds
+#   8. the whole tier-1 suite under UBSan (HUNTER_SANITIZE=undefined builds
 #      with -fno-sanitize-recover=all, so any undefined behaviour aborts
 #      its test)
 #
@@ -33,49 +32,58 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-echo "== [1/9] configure + build (HUNTER_WERROR=ON) =="
+echo "== [1/8] configure + build (HUNTER_WERROR=ON) =="
 cmake -B build-check -S . -DHUNTER_WERROR=ON
 cmake --build build-check -j "$JOBS"
 
-echo "== [2/9] hunterlint (zero findings) =="
+echo "== [2/8] hunterlint (zero findings) =="
 ./build-check/tools/hunterlint/hunterlint --root . src tests bench examples
 
-echo "== [3/9] tier-1 tests =="
+echo "== [3/8] tier-1 tests =="
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
 if ctest --test-dir build-check -N | grep 'byte object'; then
   echo "tier-1 tests: test names above carry a raw byte dump of their" \
        "parameter; give its type a PrintTo" >&2
   exit 1
 fi
-
-echo "== [4/9] bench equivalence smoke =="
-( cd build-check && ./bench/bench_micro_hotpaths --mode=smoke \
-    --out bench_hotpaths_smoke.json )
-# Every equivalence gate the harness has must actually have run: a
-# refactor that silently dropped one of the seed-equivalence checks would
-# otherwise pass this stage on timings alone.
-for gate in gemm_into_vs_naive rf_new_vs_reference \
-    rf_parallel_bitidentical_serial \
-    zipf_stream_vs_seed bufferpool_replay_vs_seed \
-    engine_cold_vs_seed engine_cold_rng_stream \
-    gp_fit_vs_seed gp_ei_batch_vs_seed \
-    pca_covariance_gemm_vs_naive pca_ql_vs_jacobi_eigenvalues \
-    gemm_simd_vs_scalar gp_kernel_simd_vs_scalar \
-    mlp_forward_simd_vs_scalar; do
-  grep -q "\"$gate\"" build-check/bench_hotpaths_smoke.json || {
-    echo "bench smoke: equivalence gate '$gate' missing from report" >&2
-    exit 1
-  }
+# Every equivalence gate must still be registered, at both SIMD tiers: a
+# refactor that silently dropped one would otherwise pass on the rest.
+listed="$(ctest --test-dir build-check -N | sed -n 's/^ *Test *#[0-9]*: //p')"
+for gate in \
+    SimdGemmTest.EntryPointsMatchTextbookLoopBitForBit \
+    SimdGemmTest.GemmIntoBitIdentical SimdGemmTest.GemmBiasIntoBitIdentical \
+    SimdGemmTest.GemmTransposedAIntoBitIdentical \
+    RandomForestTest.MatchesSeedReferenceForest \
+    ForestParallelTest.ParallelFitBitIdenticalToSerial \
+    ForestParallelTest.TiedColumnsParallelFitBitIdenticalToSerial \
+    ForestParallelTest.SingleThreadPoolTakesSerialPath \
+    ForestParallelTest.FitIndicesWithIdentityMatchesFit \
+    ForestParallelTest.BootstrapViewWithDuplicatesFits \
+    GpTest.WindowGrowthMatchesSeedGp GpTest.BatchOutputsMatchGoldenDigest \
+    GpTest.ExpectedImprovementBatchMatchesSeedGp \
+    DdpgTest.TrainingMatchesGoldenDigest MlpTest.TrainingMatchesGoldenDigest \
+    StatsHelpersTest.CovarianceMatchesNaiveTripleLoop \
+    EigenTest.QlMatchesJacobiOnRandomSymmetricMatrices \
+    RngTest.ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions \
+    BufferPoolEquivalenceTest.AdversarialStreamsMatchSeedExactly \
+    BufferPoolEquivalenceTest.ResetReplaysLikeAFreshSeedPool \
+    EngineFastPathTest.RandomConfigsMatchSeedBitExact; do
+  for name in "$gate" "${gate}_force_scalar"; do
+    grep -qxF "$name" <<<"$listed" || {
+      echo "tier-1 tests: equivalence gate '$name' is not registered" >&2
+      exit 1
+    }
+  done
 done
 
-echo "== [5/9] forced-scalar tier-1 tests (HUNTER_FORCE_SCALAR=1) =="
+echo "== [4/8] forced-scalar tier-1 tests (HUNTER_FORCE_SCALAR=1) =="
 # Stage 3 already ran every test's force_scalar-labeled duplicate; this run
 # pins the dispatch for the remaining tests (lint, perf, examples, and the
 # unlabeled originals) so the whole suite is proven green at the scalar tier.
 HUNTER_FORCE_SCALAR=1 ctest --test-dir build-check -LE force_scalar \
     --output-on-failure -j "$JOBS"
 
-echo "== [6/9] tracecat smoke =="
+echo "== [5/8] tracecat smoke =="
 SMOKE_DIR="build-check/tracecat-smoke"
 mkdir -p "$SMOKE_DIR"
 ./build-check/examples/trace_journal "$SMOKE_DIR/seed42_a.jsonl" 42
@@ -89,18 +97,18 @@ cmp "$SMOKE_DIR/seed42_a.jsonl" "$SMOKE_DIR/seed42_b.jsonl" || {
 ./build-check/tools/tracecat/tracecat diff \
   "$SMOKE_DIR/seed42_a.jsonl" "$SMOKE_DIR/seed43.jsonl"
 
-echo "== [7/9] TSan concurrency smoke =="
+echo "== [6/8] TSan concurrency smoke =="
 cmake -B build-check-tsan -S . -DHUNTER_SANITIZE=thread
 cmake --build build-check-tsan -j "$JOBS"
 ctest --test-dir build-check-tsan -L concurrency --output-on-failure -j "$JOBS"
 
-echo "== [8/9] ASan+LSan tier-1 tests =="
+echo "== [7/8] ASan+LSan tier-1 tests =="
 cmake -B build-check-asan -S . -DHUNTER_SANITIZE=address
 cmake --build build-check-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-check-asan --output-on-failure -j "$JOBS"
 
-echo "== [9/9] UBSan tier-1 tests =="
+echo "== [8/8] UBSan tier-1 tests =="
 cmake -B build-check-ubsan -S . -DHUNTER_SANITIZE=undefined
 cmake --build build-check-ubsan -j "$JOBS"
 ctest --test-dir build-check-ubsan --output-on-failure -j "$JOBS"
