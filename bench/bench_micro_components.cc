@@ -1,15 +1,19 @@
 // Microbenchmarks (google-benchmark) for the per-step costs behind the
 // paper's Table 1 and for the core ML components: one simulated stress
-// test, a DDPG training step, a GP refit + EI sweep, a PCA fit, a Random
-// Forest fit (serial and pooled), and the lock-table replay. Each explains
-// one layer's share of a tuning run; bench/e2e times the run itself.
+// test (one clone, and a 20-clone fleet), one Zipf page draw, a DDPG
+// training step, a GP refit + EI sweep, a PCA fit, a Random Forest fit
+// (serial and pooled), and the lock-table replay. Each explains one layer's
+// share of a tuning run; bench/e2e times the run itself.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <thread>
+#include <vector>
 
+#include "cdb/cdb_instance.h"
 #include "cdb/knob_catalog.h"
 #include "cdb/lock_manager.h"
 #include "cdb/simulated_engine.h"
@@ -25,18 +29,46 @@
 namespace hunter {
 namespace {
 
+// One stress test per iteration, the way the GA sample factory drives its
+// fleet: `clones` instances cloned from one user instance run round robin,
+// each deploying the next of 64 full-range random configurations
+// (Sysbench-WO, the factory-wo-faults workload). Configurations that fail
+// to boot stay in the mix, as they do in the factory.
 void BM_EngineStressTest(benchmark::State& state) {
+  const size_t clones = static_cast<size_t>(state.range(0));
   const cdb::KnobCatalog catalog = cdb::MySqlCatalog();
-  cdb::SimulatedEngine engine(&catalog, cdb::MySqlEvaluationInstance(),
-                              cdb::MySqlEngineTuning());
-  const cdb::Configuration config = catalog.DefaultConfiguration();
-  const cdb::WorkloadProfile workload = workload::Tpcc();
-  common::Rng rng(1);
+  cdb::CdbInstance user(&catalog, cdb::MySqlEvaluationInstance(),
+                        cdb::MySqlEngineTuning(), 1);
+  std::vector<std::unique_ptr<cdb::CdbInstance>> fleet;
+  for (size_t i = 0; i < clones; ++i) fleet.push_back(user.Clone());
+  common::Rng config_rng(9);
+  std::vector<cdb::Configuration> configs;
+  for (int i = 0; i < 64; ++i) {
+    std::vector<double> normalized(catalog.size());
+    for (double& v : normalized) v = config_rng.Uniform();
+    configs.push_back(catalog.DenormalizeConfiguration(normalized));
+  }
+  const cdb::WorkloadProfile workload = workload::SysbenchWriteOnly();
+  size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Run(config, workload, true, &rng));
+    cdb::CdbInstance& clone = *fleet[next % clones];
+    clone.DeployConfiguration(configs[next % configs.size()]);
+    benchmark::DoNotOptimize(clone.StressTest(workload));
+    ++next;
   }
 }
-BENCHMARK(BM_EngineStressTest);
+BENCHMARK(BM_EngineStressTest)->ArgName("clones")->Arg(1)->Arg(20);
+
+// One page draw: n = 8192 takes the threshold table, n = 2^26 the pow
+// formula (common/rng.h).
+void BM_ZipfSample(benchmark::State& state) {
+  const common::ZipfTable zipf(static_cast<uint64_t>(state.range(0)), 0.85);
+  common::Rng rng(10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(&rng));
+  }
+}
+BENCHMARK(BM_ZipfSample)->ArgName("n")->Arg(8192)->Arg(int64_t{1} << 26);
 
 void BM_DdpgTrainStep(benchmark::State& state) {
   common::Rng rng(2);

@@ -41,7 +41,9 @@ class CdbInstance {
   PerfResult StressTest(const WorkloadProfile& workload);
 
   // Clones this instance (same catalog/instance type/config, fresh RNG
-  // stream) — the Actor's "copy backup of user's instance" step.
+  // stream) — the Actor's "copy backup of user's instance" step. The
+  // engine carries no run buffers (its scratch is per thread), so a clone
+  // costs a copy of the knob constants, not of a buffer pool.
   std::unique_ptr<CdbInstance> Clone();
 
   // Point-in-time recovery: resets transient state (warm buffer pool) so a

@@ -6,12 +6,33 @@
 #include "common/flat_hash.h"
 
 namespace hunter::cdb {
+namespace {
+
+// One row's lock state on the simulated timeline.
+struct Entry {
+  double release_time = 0.0;
+  // End of the holder's acquisition phase; a waiter arriving before this
+  // can form a cycle with the holder (both still collecting locks).
+  double acquire_end = 0.0;
+};
+
+// One thread's replay scratch: the lock table, whose slab survives across
+// calls, and the row sampler, whose constants do.
+struct ReplayScratch {
+  common::FlatHashMap64<Entry> table;
+  common::ZipfTable rows;
+};
+
+ReplayScratch& ThreadReplayScratch() {
+  thread_local ReplayScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 // hunterlint: hot
 LockSimResult LockManager::Simulate(const LockSimConfig& config,
-                                    common::Rng* rng,
-                                    common::ZipfTable* zipf,
-                                    Table* table) {
+                                    common::Rng* rng) {
   LockSimResult result;
   if (config.num_txns == 0 || config.writes_per_txn <= 0.0) return result;
 
@@ -23,14 +44,10 @@ LockSimResult LockManager::Simulate(const LockSimConfig& config,
       std::min<uint64_t>(config.hot_rows,
                          static_cast<uint64_t>(config.num_txns) *
                              (static_cast<uint64_t>(config.writes_per_txn) + 1)));
-  Table local_table;
-  Table* lock_table = table != nullptr ? table : &local_table;
+  ReplayScratch& scratch = ThreadReplayScratch();
+  common::FlatHashMap64<Entry>* lock_table = &scratch.table;
   lock_table->Reset(expected_rows);
-
-  // Bind the row sampler once; when the caller supplies the table, its
-  // constants survive into the next Simulate call too.
-  common::ZipfTable local_zipf;
-  common::ZipfTable* rows = zipf != nullptr ? zipf : &local_zipf;
+  common::ZipfTable* rows = &scratch.rows;
   rows->Rebind(config.hot_rows, config.zipf_theta);
 
   // Transactions arrive so that `concurrency` of them overlap on average.

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/flat_hash.h"
 #include "common/rng.h"
 
 namespace hunter::cdb {
@@ -39,28 +38,14 @@ struct LockSimResult {
 
 class LockManager {
  public:
-  // One row's lock state on the simulated timeline.
-  struct Entry {
-    double release_time = 0.0;
-    // End of the holder's acquisition phase; a waiter arriving before this
-    // can form a cycle with the holder (both still collecting locks).
-    double acquire_end = 0.0;
-  };
-  // The miniature lock table. Callers may own one and pass it to Simulate
-  // so its slab is reused across calls.
-  using Table = common::FlatHashMap64<Entry>;
-
   // Replays `config.num_txns` transactions over a miniature lock table.
-  // `zipf` optionally supplies a caller-owned row sampler so its cached
-  // (hot_rows, zipf_theta) constants survive across calls (the simulated
-  // engine keeps one per instance); it is rebound to the config's
-  // distribution here. `table` optionally supplies a caller-owned scratch
-  // lock table (reset here), which skips the per-call slab allocation.
-  // Pass nullptr for either to use call-local state; the simulation's
-  // results are identical both ways.
-  static LockSimResult Simulate(const LockSimConfig& config, common::Rng* rng,
-                                common::ZipfTable* zipf = nullptr,
-                                Table* table = nullptr);
+  // The table and the row sampler are one thread_local scratch per thread
+  // (lock_manager.cc), re-armed on every call: the table is reset, the
+  // sampler rebound to (hot_rows, zipf_theta), which recomputes its
+  // constants only when they changed. So a call is reentrant across
+  // threads, allocation-free in steady state, and its result depends on
+  // `config` and `rng` alone.
+  static LockSimResult Simulate(const LockSimConfig& config, common::Rng* rng);
 };
 
 }  // namespace hunter::cdb

@@ -40,6 +40,51 @@ double UnitHash(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+// One thread's run scratch: the precomputed page-access stream (pages and
+// write flags in the original interleaved draw order), the buffer pool the
+// stream replays through, and the page sampler. Every Run re-arms all of it
+// (Reset, Rebind, overwrite), so a run's result never depends on which
+// engine ran on this thread before; the slabs are bounded by the page space
+// (kMaxDataPages) and only grow, which keeps the steady state
+// allocation-free. One per thread rather than one per engine: a serial
+// fleet of 20 engines each holding 150–310 KB of scratch spent its runs in
+// cache misses (DESIGN.md §13).
+struct RunScratch {
+  std::vector<uint64_t> access_pages;
+  std::vector<uint8_t> access_is_write;
+  BufferPool pool{1, 1};
+  common::ZipfTable page_zipf;
+};
+
+RunScratch& ThreadRunScratch() {
+  thread_local RunScratch scratch;
+  return scratch;
+}
+
+// Replays the precomputed access stream through the pool: warmup accesses,
+// counter reset, then the measured window with periodic background
+// flushing. Factored out of Run so the hottest loop in the engine is a
+// single annotated function over flat arrays.
+// hunterlint: hot
+void ReplayAccessStream(RunScratch* scratch, int warmup, double io_capacity) {
+  BufferPool& pool = scratch->pool;
+  const uint64_t* pages = scratch->access_pages.data();
+  const uint8_t* is_write = scratch->access_is_write.data();
+  for (int i = 0; i < warmup; ++i) {
+    const size_t a = static_cast<size_t>(i);
+    pool.Access(pages[a], is_write[a] != 0);
+  }
+  pool.ResetCounters();
+  // Background page cleaning proportional to the io_capacity budget; the
+  // per-flush budget is loop-invariant, so the division is hoisted.
+  const uint64_t flush_budget = static_cast<uint64_t>(io_capacity / 256.0) + 1;
+  for (int i = 0; i < kMeasuredAccesses; ++i) {
+    const size_t a = static_cast<size_t>(warmup + i);
+    pool.Access(pages[a], is_write[a] != 0);
+    if ((i & 255) == 0) pool.FlushDirty(flush_budget);
+  }
+}
+
 }  // namespace
 
 PerfResult BootFailureResult() {
@@ -116,23 +161,6 @@ bool SimulatedEngine::ValidateBoot(const Configuration& config,
 }
 
 // hunterlint: hot
-void SimulatedEngine::ReplayAccessStream(int warmup, double io_capacity) const {
-  for (int i = 0; i < warmup; ++i) {
-    const size_t a = static_cast<size_t>(i);
-    pool_.Access(access_pages_[a], access_is_write_[a] != 0);
-  }
-  pool_.ResetCounters();
-  // Background page cleaning proportional to the io_capacity budget; the
-  // per-flush budget is loop-invariant, so the division is hoisted.
-  const uint64_t flush_budget = static_cast<uint64_t>(io_capacity / 256.0) + 1;
-  for (int i = 0; i < kMeasuredAccesses; ++i) {
-    const size_t a = static_cast<size_t>(warmup + i);
-    pool_.Access(access_pages_[a], access_is_write_[a] != 0);
-    if ((i & 255) == 0) pool_.FlushDirty(flush_budget);
-  }
-}
-
-// hunterlint: hot
 PerfResult SimulatedEngine::Run(const Configuration& config,
                                 const WorkloadProfile& workload,
                                 bool warm_start, common::Rng* rng) const {
@@ -189,31 +217,33 @@ PerfResult SimulatedEngine::Run(const Configuration& config,
       std::max<uint64_t>(16, static_cast<uint64_t>(data_mb / page_mb));
   const uint64_t bp_pages =
       std::max<uint64_t>(1, static_cast<uint64_t>(bp_mb / page_mb));
-  pool_.Reset(bp_pages, data_pages);
+  RunScratch& scratch = ThreadRunScratch();
+  BufferPool& pool = scratch.pool;
+  pool.Reset(bp_pages, data_pages);
   if (warm_start) {
     // The CDB warm-up function restores the hottest pages (low Zipf ranks
     // map to low page ids in this simulation).
-    pool_.Prewarm(std::min<uint64_t>(bp_pages, data_pages));
+    pool.Prewarm(std::min<uint64_t>(bp_pages, data_pages));
   }
   const double write_access_fraction = 1.0 - workload.read_fraction;
   const int warmup = warm_start ? kWarmupAccesses / 4 : kWarmupAccesses;
   // Draw the whole access stream up front (same interleaved draw order the
   // former per-access loops used, so the RNG stream is unchanged), then
-  // replay it through the pool. The page sampler is a ZipfTable owned by
-  // the engine: its constants stay warm across evaluations even though the
-  // lock replay below draws from a different (n, theta).
+  // replay it through the pool. The page sampler's constants and threshold
+  // table stay bound across runs of one workload; the lock replay below
+  // draws rows from a sampler of its own.
   const size_t total_accesses =
       static_cast<size_t>(warmup) + static_cast<size_t>(kMeasuredAccesses);
-  access_pages_.resize(total_accesses);
-  access_is_write_.resize(total_accesses);
-  access_zipf_.Rebind(data_pages, workload.zipf_theta);
+  scratch.access_pages.resize(total_accesses);
+  scratch.access_is_write.resize(total_accesses);
+  scratch.page_zipf.Rebind(data_pages, workload.zipf_theta);
   for (size_t i = 0; i < total_accesses; ++i) {
-    access_pages_[i] = access_zipf_.Sample(rng);
-    access_is_write_[i] = rng->Bernoulli(write_access_fraction) ? 1 : 0;
+    scratch.access_pages[i] = scratch.page_zipf.Sample(rng);
+    scratch.access_is_write[i] = rng->Bernoulli(write_access_fraction) ? 1 : 0;
   }
-  ReplayAccessStream(warmup, io_capacity);
-  const double miss_ratio = 1.0 - pool_.HitRatio();
-  const double dirty_fraction = pool_.DirtyFraction();
+  ReplayAccessStream(&scratch, warmup, io_capacity);
+  const double miss_ratio = 1.0 - pool.HitRatio();
+  const double dirty_fraction = pool.DirtyFraction();
 
   // ---- Per-transaction demand components.
   const double read_ops =
@@ -290,8 +320,7 @@ PerfResult SimulatedEngine::Run(const Configuration& config,
   lock_config.hold_time_ms = std::max(0.5, base_service_ms);
   lock_config.lock_wait_timeout_ms = lock_wait_timeout_s * 1000.0;
   lock_config.deadlock_detect = deadlock_detect;
-  const LockSimResult locks =
-      LockManager::Simulate(lock_config, rng, &lock_zipf_, &lock_table_);
+  const LockSimResult locks = LockManager::Simulate(lock_config, rng);
   if (deadlock_detect) {
     // Active detection burns CPU proportional to the conflict rate.
     cpu_ms += 0.3 * locks.conflict_rate;

@@ -13,6 +13,14 @@
 //
 // Every mechanism is knob-driven through KnobRole, so the same engine serves
 // the MySQL-style and PostgreSQL-style catalogs.
+//
+// An engine holds only its catalog pointer, instance, tuning and the
+// per-knob constants derived from them. The run scratch (access-stream
+// buffers, buffer pool, page sampler) is one thread_local per thread in
+// simulated_engine.cc, and the lock replay keeps its own (lock_manager.h):
+// Run is const and reentrant, copying an engine copies no buffers, and
+// scratch memory grows with the threads that run engines, not with the
+// number of engines (DESIGN.md §13).
 
 #ifndef HUNTER_CDB_SIMULATED_ENGINE_H_
 #define HUNTER_CDB_SIMULATED_ENGINE_H_
@@ -20,10 +28,8 @@
 #include <array>
 #include <vector>
 
-#include "cdb/buffer_pool.h"
 #include "cdb/instance_type.h"
 #include "cdb/knob.h"
-#include "cdb/lock_manager.h"
 #include "cdb/metric_catalog.h"
 #include "cdb/workload_profile.h"
 #include "common/rng.h"
@@ -69,6 +75,8 @@ class SimulatedEngine {
 
   // Runs one stress test of `workload` under `config`. `warm_start` models
   // the CDB warm-up function (buffer pool reloaded after restart, §5).
+  // Safe to call concurrently, on one engine or many, from different
+  // threads: each draws on its own thread's scratch.
   PerfResult Run(const Configuration& config, const WorkloadProfile& workload,
                  bool warm_start, common::Rng* rng) const;
 
@@ -91,38 +99,11 @@ class SimulatedEngine {
   double KnobValue(const Configuration& config, KnobRole role,
                    double fallback) const;
 
-  // Replays the precomputed access stream through pool_: warmup accesses,
-  // counter reset, then the measured window with periodic background
-  // flushing. Factored out of Run so the hottest loop in the engine is a
-  // single annotated function over flat arrays.
-  void ReplayAccessStream(int warmup, double io_capacity) const;
-
   const KnobCatalog* catalog_;  // not owned
   InstanceType instance_;
   EngineTuning tuning_;
   std::vector<int> role_index_;  // role -> knob index (-1 if absent)
   std::vector<GenericKnobEffect> generic_knobs_;
-
-  // Scratch for the precomputed page-access stream (pages + write flags in
-  // the original interleaved draw order). An engine is driven by one actor
-  // at a time, so reusing the buffers across Run calls is safe and keeps
-  // the steady state allocation-free.
-  mutable std::vector<uint64_t> access_pages_;
-  mutable std::vector<uint8_t> access_is_write_;
-  // One pool per engine, re-armed via Reset(capacity, page_space) at the
-  // top of every Run instead of being reconstructed. Its slabs are bounded
-  // by the page space (kMaxDataPages) and survive across evaluations.
-  mutable BufferPool pool_{1, 1};
-  // Per-purpose Zipf samplers. The page draws (data_pages, zipf_theta) and
-  // the lock-row draws (hot_rows, lock_zipf_theta) alternate within every
-  // Run; a single shared constants cache (the Rng's) would recompute both
-  // zeta sums on every evaluation, so each stream keeps its own warm table.
-  mutable common::ZipfTable access_zipf_;
-  mutable common::ZipfTable lock_zipf_;
-  // Scratch lock table handed to LockManager::Simulate so the row-entry
-  // slab survives across evaluations too (reset, never reallocated, in
-  // steady state).
-  mutable LockManager::Table lock_table_;
 };
 
 }  // namespace hunter::cdb

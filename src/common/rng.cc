@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace hunter::common {
@@ -99,6 +100,41 @@ ZipfParams ZipfParams::Compute(uint64_t n, double theta) {
   // depends only on theta, so it is a cached constant like the others.
   params.pow_half_theta = std::pow(0.5, theta);
   return params;
+}
+
+void ZipfTable::Rebind(uint64_t n, double theta) {
+  if (bound_ && n == n_ && theta == theta_) return;
+  bound_ = true;
+  n_ = n;
+  theta_ = theta;
+  degenerate_ = n <= 1 || theta <= 0.0;
+  thresholds_.clear();
+  if (degenerate_) return;
+  params_ = ZipfParams::Compute(n, theta);
+  const double eta = params_.eta;
+  if (n <= 2 || n > kMaxTableRanks || !(theta < 1.0) ||
+      !(eta > 0.0 && eta <= 1.0)) {
+    return;
+  }
+  // U_j = 1 + ((j / n)^(1 / alpha) - 1) / eta, the u at which R(u) = j.
+  const double inv_alpha = 1.0 / params_.alpha;
+  const double dn = static_cast<double>(n);
+  thresholds_.resize(n + 1);
+  thresholds_[0] = -std::numeric_limits<double>::infinity();
+  for (uint64_t j = 1; j < n; ++j) {
+    thresholds_[j] =
+        1.0 + (std::pow(static_cast<double>(j) / dn, inv_alpha) - 1.0) / eta;
+  }
+  thresholds_[n] = std::numeric_limits<double>::infinity();
+  guard_ = 0x1.0p-36 / eta;
+  guide_.resize(kGuideBuckets);
+  size_t k = 0;
+  for (size_t b = 0; b < kGuideBuckets; ++b) {
+    const double start =
+        static_cast<double>(b) / static_cast<double>(kGuideBuckets);
+    while (thresholds_[k + 1] <= start) ++k;
+    guide_[b] = static_cast<uint16_t>(k);
+  }
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {

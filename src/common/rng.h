@@ -116,29 +116,80 @@ class Rng {
 // constants are bound up front, for callers that know (n, theta) ahead of
 // the draws — the simulated engine's access streams, the lock replay and
 // the dependency graph. `Sample` consumes exactly one generator advance.
-// `Rebind` recomputes the constants only when (n, theta) actually changed,
-// so two alternating distributions (page draws vs row draws) each keep a
-// table of their own instead of thrashing one shared one.
+// `Rebind` recomputes the constants only when (n, theta) actually changed.
+//
+// Threshold table. `ZipfParams::Rank` costs one std::pow per draw (about
+// 22 ns). For 2 < n <= kMaxTableRanks, 0 < theta < 1 and 0 < eta <= 1 —
+// every page stream, since the engine caps its page space at 8192 —
+// `Rebind` also tabulates where the rank formula R(u) = n * x^alpha, with
+// x = 1 - eta * (1 - u), crosses each j = 1..n-1:
+//
+//   U_j = 1 + ((j / n)^(1 / alpha) - 1) / eta,
+//
+// plus a guide of kGuideBuckets entries, guide[b] = #{j : U_j <= b /
+// kGuideBuckets}. `Rank(u)` then applies `ZipfParams::Rank`'s exact rank-0
+// and rank-1 tests, counts k = #{j : U_j <= u} with a scan that starts at
+// guide[b] and cannot pass guide[b + 1], and returns k — unless u lies
+// within g = 2^-36 / eta of U_k or U_{k+1}, where it returns
+// `ZipfParams::Rank(u)`, the pow formula itself. Large n (the lock rows),
+// the degenerate cases and any other (n, theta) keep the pow path.
+//
+// Why the table returns the formula's own rank. With 0 < eta <= 1 and u in
+// [0, 1), the formula's base x^ = fl(fl(fl(eta * u) - eta) + 1) lies
+// within 3 * 2^-53 of x (three roundings of values of magnitude <= 1), and
+// x^ >= 0, so pow never sees a negative base. pow adds about one ulp
+// (glibc's documented bound) and the product n * p half an ulp. Mapped
+// through R, whose slope in u is n * alpha * eta * x^(alpha - 1), these
+// move the u where the computed rank crosses j by less than 2^-50 / eta:
+// an absolute error e in x moves the crossing by e / eta, a relative error
+// r in the rank by r * x / (alpha * eta) <= r / eta. The tabulated U_j
+// carries the roundings of j / n, of 1 / alpha (amplified by |ln(j / n)|,
+// below 9), of pow, and of the subtraction, division and sum, and lies
+// within about 2^-49 / eta of the true crossing. So a u farther than
+// g from every tabulated U_j has the same count on both sides of every
+// crossing, and the computed formula's rank is k; inside a band the
+// formula runs. The margin is 2^12: the argument holds for any pow with a
+// relative error below 2^-40. The bands cover about 2 * g * n of u,
+// 2.4e-7 at n = 8192, so one draw in a few million takes the fallback.
+// RngTest.ZipfTable* check the draws and every band edge against
+// `ZipfParams::Rank`.
 class ZipfTable {
  public:
+  // Largest n that gets a threshold table (the engine's page-space cap).
+  static constexpr uint64_t kMaxTableRanks = 8192;
+  static constexpr size_t kGuideBuckets = size_t{1} << 14;
+
   ZipfTable() = default;
   ZipfTable(uint64_t n, double theta) { Rebind(n, theta); }
 
-  void Rebind(uint64_t n, double theta) {
-    if (bound_ && n == n_ && theta == theta_) return;
-    bound_ = true;
-    n_ = n;
-    theta_ = theta;
-    degenerate_ = n <= 1 || theta <= 0.0;
-    if (!degenerate_) params_ = ZipfParams::Compute(n, theta);
-  }
+  void Rebind(uint64_t n, double theta);
 
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }
+  // True when draws go through the threshold table (see above).
+  bool tabulated() const { return !thresholds_.empty(); }
+
+  // The rank of the uniform `u` in [0, 1): `ZipfParams::Rank(u)`, bit for
+  // bit. Requires a non-degenerate binding (n > 1, theta > 0).
+  uint64_t Rank(double u) const {
+    if (thresholds_.empty()) return params_.Rank(u);
+    const double uz = u * params_.zetan;
+    if (uz < 1.0) return 0;
+    if (uz < 1.0 + params_.pow_half_theta) return 1;
+    // thresholds_[0] = -inf and thresholds_[n] = +inf bracket the scan;
+    // U_{guide[b + 1] + 1} > (b + 1) / kGuideBuckets > u ends it by then.
+    size_t k = guide_[static_cast<size_t>(
+        u * static_cast<double>(kGuideBuckets))];
+    while (thresholds_[k + 1] <= u) ++k;
+    if (u - thresholds_[k] < guard_ || thresholds_[k + 1] - u < guard_) {
+      return params_.Rank(u);
+    }
+    return k;
+  }
 
   uint64_t Sample(Rng* rng) const {
     if (degenerate_) return n_ == 0 ? 0 : rng->NextU64() % n_;
-    return params_.Rank(rng->Uniform());
+    return Rank(rng->Uniform());
   }
 
   // Draws `count` consecutive samples into `out` (resized by the caller).
@@ -152,6 +203,10 @@ class ZipfTable {
   bool bound_ = false;
   bool degenerate_ = true;
   ZipfParams params_;
+  // U_0 = -inf, U_1..U_{n-1}, U_n = +inf; empty on the pow path.
+  std::vector<double> thresholds_;
+  std::vector<uint16_t> guide_;  // kGuideBuckets entries, each < n
+  double guard_ = 0.0;           // g = 2^-36 / eta
 };
 
 }  // namespace hunter::common

@@ -24,17 +24,26 @@ struct LaneCharge {
   std::vector<obs::Attr> attrs;
 };
 
-// A normalized configuration holds one value per catalog knob. The catalog
-// and the engine index both vectors by knob, and the catalog checks the
-// length only with an assert, so a wrong length is rejected here, before
-// anything is charged or dispatched. `index` names it within its batch.
-void RequireKnobCount(const std::vector<double>& normalized, size_t index,
-                      size_t knobs) {
-  if (normalized.size() == knobs) return;
-  throw std::invalid_argument(
-      "configuration " + std::to_string(index) + " has " +
-      std::to_string(normalized.size()) + " values, but the catalog has " +
-      std::to_string(knobs) + " knobs");
+// A normalized configuration holds one finite value per catalog knob. The
+// catalog and the engine index both vectors by knob, and the catalog checks
+// the length only with an assert, so a wrong length is rejected here,
+// before anything is charged or dispatched. So is a NaN or infinite value:
+// Denormalize passes NaN through, and the failed-boot sample would carry it
+// into a tuner's pool. `index` names the configuration within its batch.
+void RequireValidConfiguration(const std::vector<double>& normalized,
+                               size_t index, const cdb::KnobCatalog& catalog) {
+  if (normalized.size() != catalog.size()) {
+    throw std::invalid_argument(
+        "configuration " + std::to_string(index) + " has " +
+        std::to_string(normalized.size()) + " values, but the catalog has " +
+        std::to_string(catalog.size()) + " knobs");
+  }
+  for (size_t k = 0; k < normalized.size(); ++k) {
+    if (std::isfinite(normalized[k])) continue;
+    throw std::invalid_argument(
+        "configuration " + std::to_string(index) + " has non-finite value " +
+        std::to_string(normalized[k]) + " for knob " + catalog.knob(k).name);
+  }
 }
 
 }  // namespace
@@ -143,7 +152,7 @@ void Controller::MarkEvaluationFailed(Sample* sample,
 std::vector<Sample> Controller::EvaluateBatch(
     const std::vector<std::vector<double>>& normalized_configs) {
   for (size_t i = 0; i < normalized_configs.size(); ++i) {
-    RequireKnobCount(normalized_configs[i], i, catalog().size());
+    RequireValidConfiguration(normalized_configs[i], i, catalog());
   }
   const cdb::PerformanceSummary& defaults = DefaultPerformance();
   std::vector<Sample> samples(normalized_configs.size());
@@ -395,7 +404,7 @@ std::vector<Sample> Controller::EvaluateBatch(
 }
 
 void Controller::DeployToUser(const std::vector<double>& normalized) {
-  RequireKnobCount(normalized, 0, catalog().size());
+  RequireValidConfiguration(normalized, 0, catalog());
   const cdb::Configuration config =
       catalog().DenormalizeConfiguration(normalized);
   const cdb::DeployOutcome outcome =

@@ -92,9 +92,10 @@ class Controller {
   // clones ~20x faster per configuration. Faulty attempts are retried /
   // requeued per the options; a configuration whose retries are exhausted
   // comes back marked `evaluation_failed` with the boot-failure clamp.
-  // Throws std::invalid_argument, naming the configuration's index and both
-  // lengths, if any configuration does not hold one value per catalog knob;
-  // such a batch runs, charges and records nothing.
+  // Throws std::invalid_argument if any configuration does not hold one
+  // finite value per catalog knob, naming the configuration's index and
+  // either both lengths or the knob with the NaN or infinite value; such a
+  // batch runs, charges and records nothing.
   std::vector<Sample> EvaluateBatch(
       const std::vector<std::vector<double>>& normalized_configs);
 
@@ -103,7 +104,7 @@ class Controller {
 
   // Deploys a configuration on the *user's* instance (end of workflow).
   // Throws std::invalid_argument, deploying nothing, if `normalized` does
-  // not hold one value per catalog knob.
+  // not hold one finite value per catalog knob.
   void DeployToUser(const std::vector<double>& normalized);
 
   // Workload drift (Fig. 10): swap the replayed workload; the Eq-1 baseline

@@ -1,8 +1,9 @@
 // Golden equivalence gates for the engine-evaluation fast path.
 //
-// The production engine (flat intrusive LRU pool reused across runs,
-// per-purpose cached Zipf samplers, hoisted + bit-exact-early-exit fixed
-// point) must be observably indistinguishable — bit for bit, tolerance 0.0 —
+// The production engine (page-indexed LRU pool and Zipf samplers in one run
+// scratch per thread, page draws from a threshold table, hoisted +
+// bit-exact-early-exit fixed point) must be observably indistinguishable —
+// bit for bit, tolerance 0.0 —
 // from the seed implementation it replaced. hunter::seedref (in
 // seed_engine_ref.h) carries the seed replicas; every test here drives both
 // sides from identically seeded Rngs and asserts exact equality on outputs
@@ -22,6 +23,7 @@
 #include "cdb/simulated_engine.h"
 #include "cdb/workload_profile.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "tests/cdb/seed_engine_ref.h"
 #include "workload/workloads.h"
 
@@ -161,10 +163,23 @@ TEST(EngineFastPathTest, BootFailureMatchesSeed) {
   CheckRun(&fx, config, workload::Tpcc(), false, 21, "boot failure");
 }
 
-// Pool/sampler reuse must be stateless: the N-th Run on a long-lived engine
-// (slabs warm, Zipf constants cached) must equal the same Run on a factory-
-// fresh engine given the same RNG state. This is the gate on the "reuse one
-// pool via Reset()" half of the fast path.
+// Runs `engine` once on a thread that has never run an engine — the worker
+// of a fresh one-thread pool — so the run builds its thread's scratch (pool
+// slabs, samplers, lock table) from nothing.
+PerfResult RunOnFreshThread(const SimulatedEngine& engine,
+                            const Configuration& config,
+                            const WorkloadProfile& workload, bool warm,
+                            common::Rng* rng) {
+  common::ThreadPool pool(1);
+  return pool
+      .Submit([&] { return engine.Run(config, workload, warm, rng); })
+      .get();
+}
+
+// Scratch reuse must be stateless: the N-th Run on a thread (slabs warm,
+// Zipf constants and threshold table bound) must equal the same Run on a
+// fresh thread given the same RNG state. This is the gate on the "reuse
+// one scratch via Reset()/Rebind()" half of the fast path.
 TEST(EngineFastPathTest, SlabAndSamplerReuseIsObservablyStateless) {
   const KnobCatalog catalog = MySqlCatalog();
   const Configuration defaults = catalog.DefaultConfiguration();
@@ -174,20 +189,74 @@ TEST(EngineFastPathTest, SlabAndSamplerReuseIsObservablyStateless) {
   SimulatedEngine reused(&catalog, MySqlEvaluationInstance(),
                          MySqlEngineTuning());
   common::Rng rng(77);
-  // First run warms the slabs and both Zipf tables (Sysbench RO has the
-  // finer page granularity, hence the larger pool)...
+  // First run warms this thread's slabs and both Zipf tables (Sysbench RO
+  // has the finer page granularity, hence the larger pool)...
   (void)reused.Run(defaults, ro, false, &rng);
-  const common::Rng rng_checkpoint = rng;  // same state for the fresh engine
+  const common::Rng rng_checkpoint = rng;  // same state for the fresh side
   // ...second run (different workload: smaller pool capacity, different Zipf
   // parameters) executes entirely on reused slabs.
   const PerfResult via_reuse = reused.Run(defaults, tpcc, true, &rng);
 
-  SimulatedEngine fresh(&catalog, MySqlEvaluationInstance(),
-                        MySqlEngineTuning());
+  const SimulatedEngine fresh(&catalog, MySqlEvaluationInstance(),
+                              MySqlEngineTuning());
   common::Rng fresh_rng = rng_checkpoint;
-  const PerfResult via_fresh = fresh.Run(defaults, tpcc, true, &fresh_rng);
-  ExpectBitIdentical(via_fresh, via_reuse, "reused vs fresh engine");
+  const PerfResult via_fresh =
+      RunOnFreshThread(fresh, defaults, tpcc, true, &fresh_rng);
+  ExpectBitIdentical(via_fresh, via_reuse, "reused vs fresh thread");
   EXPECT_EQ(rng.StateFingerprint(), fresh_rng.StateFingerprint());
+}
+
+// Two engines of different flavours interleave on one thread and so share
+// its scratch: different catalogs, instance types, workloads (page spaces
+// 8192 and 4592, four page skews, three lock-row streams) and warmth. Each
+// run must equal the same run on a fresh thread, whatever the other engine
+// left in the scratch.
+TEST(EngineFastPathTest, InterleavedEnginesOnOneThreadMatchFreshThreads) {
+  const KnobCatalog mysql_catalog = MySqlCatalog();
+  const KnobCatalog postgres_catalog = PostgresCatalog();
+  const SimulatedEngine mysql(&mysql_catalog, InstanceTypeByName("H"),
+                              MySqlEngineTuning());
+  const SimulatedEngine postgres(&postgres_catalog,
+                                 PostgresEvaluationInstance(),
+                                 PostgresEngineTuning());
+  const struct {
+    const SimulatedEngine* engine;
+    WorkloadProfile workload;
+    bool warm;
+  } steps[] = {
+      {&mysql, workload::SysbenchReadOnly(), false},
+      {&postgres, workload::Tpcc(), true},
+      {&mysql, workload::Production(true), true},
+      {&postgres, workload::SysbenchWriteOnly(), false},
+      {&mysql, workload::Tpcc(), false},
+      {&postgres, workload::Production(false), true},
+      {&mysql, workload::SysbenchReadOnly(), true},
+  };
+  common::Rng config_rng(4242);
+  uint64_t seed = 300;
+  for (const auto& step : steps) {
+    // A random configuration that boots, so every run uses the scratch.
+    const KnobCatalog& catalog = step.engine->catalog();
+    Configuration config = RandomConfig(catalog, &config_rng);
+    while (!step.engine->ValidateBoot(config, nullptr)) {
+      config = RandomConfig(catalog, &config_rng);
+    }
+    const std::string context = catalog.knob(0).name + "/" +
+                                step.workload.name +
+                                (step.warm ? "/warm" : "/cold");
+    common::Rng shared_rng(seed);
+    common::Rng fresh_rng(seed);
+    ++seed;
+    const PerfResult shared =
+        step.engine->Run(config, step.workload, step.warm, &shared_rng);
+    const PerfResult fresh = RunOnFreshThread(*step.engine, config,
+                                              step.workload, step.warm,
+                                              &fresh_rng);
+    ASSERT_FALSE(shared.boot_failed) << context;
+    ExpectBitIdentical(fresh, shared, context);
+    EXPECT_EQ(shared_rng.StateFingerprint(), fresh_rng.StateFingerprint())
+        << context;
+  }
 }
 
 }  // namespace

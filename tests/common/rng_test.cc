@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,6 +199,101 @@ TEST(RngTest, ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions) {
   }
   // Same draw count and order on both sides.
   EXPECT_EQ(seed_rng.NextU64(), fast_rng.NextU64());
+}
+
+// ---------------------------------------------------------------------------
+// Threshold-table exactness: a tabulated ZipfTable must return
+// ZipfParams::Rank(u), the pow formula, for every u (rng.h states the
+// argument). The cases are every standard workload's page stream and a grid
+// of small to page-sized n over low, middle and high skew.
+// ---------------------------------------------------------------------------
+
+struct ZipfCase {
+  uint64_t n;
+  double theta;
+};
+
+std::vector<ZipfCase> TabulatedZipfCases() {
+  // Page streams: Sysbench (8 GB at 1 MB pages), TPC-C (8.97 GB at 2 MB)
+  // and Production 9am/9pm (256 GB at 32 MB), capped at 8192 pages.
+  std::vector<ZipfCase> cases = {
+      {8192, 0.65}, {4592, 0.75}, {8192, 0.85}, {8192, 0.78}};
+  for (const uint64_t n : {3u, 16u, 17u, 1000u, 8192u}) {
+    for (const double theta : {0.01, 0.5, 0.99}) cases.push_back({n, theta});
+  }
+  return cases;
+}
+
+std::string CaseName(const ZipfCase& c) {
+  return "n=" + std::to_string(c.n) + " theta=" + std::to_string(c.theta);
+}
+
+TEST(RngTest, ZipfTableDrawsMatchPowFormula) {
+  constexpr int kDraws = 1 << 20;
+  uint64_t seed = 500;
+  for (const ZipfCase& c : TabulatedZipfCases()) {
+    const ZipfTable table(c.n, c.theta);
+    ASSERT_TRUE(table.tabulated()) << CaseName(c);
+    const ZipfParams params = ZipfParams::Compute(c.n, c.theta);
+    Rng table_rng(seed);
+    Rng pow_rng(seed);
+    ++seed;
+    int mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      const uint64_t got = table.Sample(&table_rng);
+      const uint64_t want = params.Rank(pow_rng.Uniform());
+      if (got != want && ++mismatches <= 3) {
+        ADD_FAILURE() << CaseName(c) << " draw " << i << ": table " << got
+                      << ", formula " << want;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << CaseName(c);
+    EXPECT_EQ(table_rng.StateFingerprint(), pow_rng.StateFingerprint())
+        << CaseName(c);
+  }
+  // The lock-row streams (64 M rows on Sysbench, 3 M on Production) and
+  // theta outside (0, 1) keep the pow path.
+  EXPECT_FALSE(ZipfTable(64000000, 0.2).tabulated());
+  EXPECT_FALSE(ZipfTable(3000000, 0.5).tabulated());
+  EXPECT_FALSE(ZipfTable(8193, 0.8).tabulated());
+  EXPECT_FALSE(ZipfTable(2, 0.8).tabulated());
+  EXPECT_FALSE(ZipfTable(4096, 1.2).tabulated());
+  EXPECT_FALSE(ZipfTable(4096, 0.0).tabulated());
+}
+
+TEST(RngTest, ZipfTableThresholdBandsMatchPowFormula) {
+  // Around every crossing U_j the table answers at +-2g (outside the guard
+  // band) and the formula at +-g/2 (inside it); both must give the
+  // formula's rank. U_j is recomputed with the table's own expression, and
+  // each probe is snapped down to the 53-bit grid Rng::Uniform draws from.
+  for (const ZipfCase& c : TabulatedZipfCases()) {
+    const ZipfTable table(c.n, c.theta);
+    ASSERT_TRUE(table.tabulated()) << CaseName(c);
+    const ZipfParams params = ZipfParams::Compute(c.n, c.theta);
+    const double g = 0x1.0p-36 / params.eta;
+    const double inv_alpha = 1.0 / params.alpha;
+    const double dn = static_cast<double>(c.n);
+    int mismatches = 0;
+    for (uint64_t j = 1; j < c.n; ++j) {
+      const double u_j =
+          1.0 +
+          (std::pow(static_cast<double>(j) / dn, inv_alpha) - 1.0) /
+              params.eta;
+      for (const double offset : {-2.0 * g, -0.5 * g, 0.5 * g, 2.0 * g}) {
+        const double target = u_j + offset;
+        if (!(target >= 0.0 && target < 1.0)) continue;
+        const double u = std::floor(target * 0x1.0p53) * 0x1.0p-53;
+        const uint64_t got = table.Rank(u);
+        const uint64_t want = params.Rank(u);
+        if (got != want && ++mismatches <= 3) {
+          ADD_FAILURE() << CaseName(c) << " j=" << j << " offset "
+                        << offset / g << "g: table " << got << ", formula "
+                        << want;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << CaseName(c);
+  }
 }
 
 TEST(RngTest, ZipfTableFillMatchesSequentialSample) {

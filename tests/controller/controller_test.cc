@@ -1,6 +1,7 @@
 #include "controller/controller.h"
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -33,6 +34,38 @@ class ControllerTest : public ::testing::Test {
 
   std::vector<double> DefaultNormalized() {
     return catalog_.NormalizeConfiguration(catalog_.DefaultConfiguration());
+  }
+
+  // After only rejected calls, `controller` (made by Make(2), its journal
+  // then holding `records` records) has charged, run, recorded and deployed
+  // nothing, and a valid batch returns what a fresh controller's first
+  // batch returns, at the same clock.
+  void ExpectRejectionsLeftNoTrace(Controller* controller, size_t records) {
+    EXPECT_EQ(controller->clock().seconds(), 0.0);
+    EXPECT_EQ(controller->total_stress_tests(), 0u);
+    EXPECT_EQ(controller->journal().records().size(), records);
+    EXPECT_EQ(controller->user_instance().active_configuration(),
+              catalog_.DefaultConfiguration());
+
+    std::vector<double> tuned = DefaultNormalized();
+    tuned[static_cast<size_t>(catalog_.IndexOf("innodb_io_capacity"))] = 0.8;
+    const std::vector<std::vector<double>> batch = {DefaultNormalized(),
+                                                    tuned};
+    auto fresh = Make(2);
+    const std::vector<Sample> want = fresh->EvaluateBatch(batch);
+    const std::vector<Sample> got = controller->EvaluateBatch(batch);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].knobs, want[i].knobs) << "sample " << i;
+      EXPECT_EQ(got[i].metrics, want[i].metrics) << "sample " << i;
+      EXPECT_EQ(got[i].throughput_tps, want[i].throughput_tps) << "sample " << i;
+      EXPECT_EQ(got[i].latency_p95_ms, want[i].latency_p95_ms)
+          << "sample " << i;
+      EXPECT_EQ(got[i].fitness, want[i].fitness) << "sample " << i;
+      EXPECT_EQ(got[i].attempts, want[i].attempts) << "sample " << i;
+    }
+    EXPECT_EQ(controller->clock().seconds(), fresh->clock().seconds());
+    EXPECT_EQ(controller->total_stress_tests(), fresh->total_stress_tests());
   }
 
   cdb::KnobCatalog catalog_;
@@ -195,31 +228,35 @@ TEST_F(ControllerTest, RejectsConfigurationsOfTheWrongLength) {
   }
   EXPECT_THROW(controller->DeployToUser(short_config), std::invalid_argument);
   EXPECT_THROW(controller->DeployToUser(long_config), std::invalid_argument);
-  EXPECT_EQ(controller->clock().seconds(), 0.0);
-  EXPECT_EQ(controller->total_stress_tests(), 0u);
-  EXPECT_EQ(controller->journal().records().size(), records);
-  EXPECT_EQ(controller->user_instance().active_configuration(),
-            catalog_.DefaultConfiguration());
+  ExpectRejectionsLeftNoTrace(controller.get(), records);
+}
 
-  // The rejected calls left no trace: a valid batch returns what a fresh
-  // controller's first batch returns, at the same clock.
-  std::vector<double> tuned = DefaultNormalized();
-  tuned[static_cast<size_t>(catalog_.IndexOf("innodb_io_capacity"))] = 0.8;
-  const std::vector<std::vector<double>> batch = {DefaultNormalized(), tuned};
-  auto fresh = Make(2);
-  const std::vector<Sample> want = fresh->EvaluateBatch(batch);
-  const std::vector<Sample> got = controller->EvaluateBatch(batch);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].knobs, want[i].knobs) << "sample " << i;
-    EXPECT_EQ(got[i].metrics, want[i].metrics) << "sample " << i;
-    EXPECT_EQ(got[i].throughput_tps, want[i].throughput_tps) << "sample " << i;
-    EXPECT_EQ(got[i].latency_p95_ms, want[i].latency_p95_ms) << "sample " << i;
-    EXPECT_EQ(got[i].fitness, want[i].fitness) << "sample " << i;
-    EXPECT_EQ(got[i].attempts, want[i].attempts) << "sample " << i;
+TEST_F(ControllerTest, RejectsNonFiniteConfigurations) {
+  // Denormalize passes NaN through, so a NaN knob used to come back as a
+  // failed-boot sample carrying the NaN into the tuner's pool. A NaN or
+  // infinite value is rejected like a wrong length: before the baseline is
+  // measured or anything is dispatched, charged or recorded.
+  auto controller = Make(2);
+  const std::string knob = "innodb_io_capacity";
+  const size_t index = static_cast<size_t>(catalog_.IndexOf(knob));
+  const size_t records = controller->journal().records().size();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> config = DefaultNormalized();
+    config[index] = bad;
+    try {
+      controller->EvaluateBatch({DefaultNormalized(), config});
+      ADD_FAILURE() << "a configuration holding " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "configuration 1 has non-finite value " +
+                    std::to_string(bad) + " for knob " + knob);
+    }
+    EXPECT_THROW(controller->DeployToUser(config), std::invalid_argument)
+        << bad;
   }
-  EXPECT_EQ(controller->clock().seconds(), fresh->clock().seconds());
-  EXPECT_EQ(controller->total_stress_tests(), fresh->total_stress_tests());
+  ExpectRejectionsLeftNoTrace(controller.get(), records);
 }
 
 TEST_F(ControllerTest, ConcurrentActorsMatchSerialSemantics) {

@@ -202,7 +202,7 @@ TEST_F(FaultToleranceTest, CancelledStragglerRetryReplaysTheSameRun) {
 TEST_F(FaultToleranceTest, ConcurrentRunMatchesSerialRunExactly) {
   // The fault schedule is a pure function of (seed, clone, op), so the same
   // batch must produce identical samples, clock, and stats with and without
-  // real threads.
+  // real threads: bit for bit, not within a few ulps.
   ControllerOptions serial = BaseOptions(4);
   serial.faults.seed = 21;
   serial.faults.transient_deploy_failure_rate = 0.2;
@@ -219,8 +219,9 @@ TEST_F(FaultToleranceTest, ConcurrentRunMatchesSerialRunExactly) {
   const auto serial_samples = serial_controller->EvaluateBatch(batch);
   const auto threaded_samples = threaded_controller->EvaluateBatch(batch);
 
-  EXPECT_DOUBLE_EQ(serial_controller->clock().seconds(),
-                   threaded_controller->clock().seconds());
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  EXPECT_EQ(bits(serial_controller->clock().seconds()),
+            bits(threaded_controller->clock().seconds()));
   const FaultStats& a = serial_controller->fault_stats();
   const FaultStats& b = threaded_controller->fault_stats();
   EXPECT_EQ(a.transient_deploy_failures, b.transient_deploy_failures);
@@ -230,10 +231,17 @@ TEST_F(FaultToleranceTest, ConcurrentRunMatchesSerialRunExactly) {
   EXPECT_EQ(a.retries, b.retries);
   ASSERT_EQ(serial_samples.size(), threaded_samples.size());
   for (size_t i = 0; i < serial_samples.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial_samples[i].fitness, threaded_samples[i].fitness);
-    EXPECT_EQ(serial_samples[i].attempts, threaded_samples[i].attempts);
-    EXPECT_EQ(serial_samples[i].evaluation_failed,
-              threaded_samples[i].evaluation_failed);
+    const Sample& want = serial_samples[i];
+    const Sample& got = threaded_samples[i];
+    EXPECT_EQ(bits(want.fitness), bits(got.fitness)) << i;
+    EXPECT_EQ(bits(want.throughput_tps), bits(got.throughput_tps)) << i;
+    EXPECT_EQ(bits(want.latency_p95_ms), bits(got.latency_p95_ms)) << i;
+    ASSERT_EQ(want.metrics.size(), got.metrics.size()) << i;
+    for (size_t m = 0; m < want.metrics.size(); ++m) {
+      EXPECT_EQ(bits(want.metrics[m]), bits(got.metrics[m])) << i << "/" << m;
+    }
+    EXPECT_EQ(want.attempts, got.attempts) << i;
+    EXPECT_EQ(want.evaluation_failed, got.evaluation_failed) << i;
   }
 }
 

@@ -18,13 +18,9 @@
 
 #include <gtest/gtest.h>
 
-#include "cdb/cdb_instance.h"
-#include "cdb/knob_catalog.h"
 #include "controller/controller.h"
-#include "hunter/hunter.h"
 #include "obs/journal.h"
-#include "tuners/tuner.h"
-#include "workload/workloads.h"
+#include "tests/property/tuning_run.h"
 
 namespace hunter {
 namespace {
@@ -40,34 +36,11 @@ struct RunDigest {
   size_t records = 0;
 };
 
-// One small tuning run (2 clones, ~0.8 simulated hours, faults on) — the
-// same shape as examples/trace_journal.cpp, reduced for test runtime.
+// One small tuning run (2 clones, serial fleet, faults on), digested.
 RunDigest RunOnce(uint64_t seed) {
-  cdb::KnobCatalog catalog = cdb::MySqlCatalog();
-  auto user_instance = std::make_unique<cdb::CdbInstance>(
-      &catalog, cdb::MySqlEvaluationInstance(), cdb::MySqlEngineTuning(),
-      seed);
-
-  controller::ControllerOptions controller_options;
-  controller_options.num_clones = 2;
-  controller_options.seed = seed;
-  controller_options.concurrent_actors = false;
-  controller_options.faults.seed = seed;
-  controller_options.faults.transient_deploy_failure_rate = 0.08;
-  controller_options.faults.crash_rate = 0.04;
-  controller_options.faults.straggler_rate = 0.25;
-  controller_options.straggler_timeout_seconds = 400.0;
-  controller::Controller controller(std::move(user_instance),
-                                    workload::Tpcc(), controller_options);
-
-  core::HunterOptions hunter_options;
-  hunter_options.ga.target_samples = 8;
-  core::HunterTuner hunter(&catalog, core::Rules(), hunter_options, seed + 1);
-  tuners::HarnessOptions harness;
-  harness.budget_hours = 0.8;
-  const tuners::TuningResult result =
-      tuners::RunTuning(&hunter, &controller, harness);
-  controller.DeployToUser(result.best_sample.knobs);
+  const std::unique_ptr<testing_support::TuningRun> run =
+      testing_support::RunSmallTuning(seed, testing_support::FleetShape{});
+  controller::Controller& controller = *run->controller;
 
   RunDigest digest;
   std::ostringstream os;

@@ -17,12 +17,17 @@
 #      stage covers the remaining tests (-LE force_scalar)
 #   5. a tracecat smoke: emit two same-seed run journals, require them
 #      byte-identical, and render a breakdown + a cross-seed diff
-#   6. a sanitizer smoke: `ctest -L concurrency` under TSan
+#   6. a sanitizer smoke: `ctest -L concurrency` under TSan, which includes
+#      whole tuning runs on threaded fleets of every pool width 1-4
+#      (FleetDeterminismTest) over the engines' per-thread run scratch
 #   7. the whole tier-1 suite under ASan+LSan, with
 #      ASAN_OPTIONS=detect_leaks=1 so leaks fail at exit
 #   8. the whole tier-1 suite under UBSan (HUNTER_SANITIZE=undefined builds
 #      with -fno-sanitize-recover=all, so any undefined behaviour aborts
-#      its test)
+#      its test), built without NDEBUG: every other build here defines it,
+#      so this is the stage where the assert()s in src/ run. Its
+#      RelWithDebInfo flags are given as "-O2 -g", which the root
+#      CMakeLists turns into "-O3 -g", so the build stays optimized
 #
 # Run from anywhere: paths are resolved relative to the repo root. Build
 # trees land in build-check/, build-check-tsan/, build-check-asan/ and
@@ -65,6 +70,9 @@ for gate in \
     StatsHelpersTest.CovarianceMatchesNaiveTripleLoop \
     EigenTest.QlMatchesJacobiOnRandomSymmetricMatrices \
     RngTest.ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions \
+    RngTest.ZipfTableDrawsMatchPowFormula \
+    RngTest.ZipfTableThresholdBandsMatchPowFormula \
+    FleetDeterminismTest.WholeRunJournalIsByteIdenticalAtEveryPoolWidth \
     BufferPoolEquivalenceTest.AdversarialStreamsMatchSeedExactly \
     BufferPoolEquivalenceTest.ResetReplaysLikeAFreshSeedPool \
     EngineFastPathTest.RandomConfigsMatchSeedBitExact; do
@@ -108,8 +116,9 @@ cmake --build build-check-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-check-asan --output-on-failure -j "$JOBS"
 
-echo "== [8/8] UBSan tier-1 tests =="
-cmake -B build-check-ubsan -S . -DHUNTER_SANITIZE=undefined
+echo "== [8/8] UBSan tier-1 tests, assertions on =="
+cmake -B build-check-ubsan -S . -DHUNTER_SANITIZE=undefined \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build build-check-ubsan -j "$JOBS"
 ctest --test-dir build-check-ubsan --output-on-failure -j "$JOBS"
 
