@@ -1,13 +1,15 @@
 // Microbenchmarks (google-benchmark) for the per-step costs behind the
 // paper's Table 1 and for the core ML components: one simulated stress
 // test (one clone, and a 20-clone fleet), one Zipf page draw, a DDPG
-// training step, a GP refit + EI sweep, a PCA fit, a Random Forest fit
-// (serial and pooled), and the lock-table replay. Each explains one layer's
+// training step, a GP fit (fresh and on a slid window), an EI sweep and the
+// GP's Cholesky factorization, a PCA fit, a Random Forest fit (serial and
+// pooled), and the lock-table replay. Each explains one layer's
 // share of a tuning run; bench/e2e times the run itself.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -102,30 +104,94 @@ void BM_DdpgAct(benchmark::State& state) {
 }
 BENCHMARK(BM_DdpgAct);
 
-void BM_GpFitAndEi(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  common::Rng rng(4);
+// A training pool of `rows` observations of the 65-knob MySQL catalog,
+// uniform in [0, 1] like the BO tuners' normalized configurations.
+void RandomTrainingPool(size_t rows, uint64_t seed, linalg::Matrix* x,
+                        std::vector<double>* y) {
+  common::Rng rng(seed);
+  *x = linalg::Matrix(rows, 65);
+  y->resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < 65; ++c) x->At(r, c) = rng.Uniform();
+    (*y)[r] = rng.Uniform();
+  }
+}
+
+// One OtterTune refit at the full window, n = 120, d = 65. `window:fresh`
+// is a first fit (a new GP each time, as for a run's first fit and for
+// ResTune's historical models); `window:slid` refits one GP on a window
+// that slides by one observation per iteration, as Observe does.
+void BM_GpFit(benchmark::State& state, bool slid) {
+  const size_t n = 120;
+  const size_t slides = slid ? 1000 : 0;
+  linalg::Matrix pool;
+  std::vector<double> pool_y;
+  RandomTrainingPool(n + slides, 4, &pool, &pool_y);
   linalg::Matrix x(n, 65);
   std::vector<double> y(n);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < 65; ++c) x.At(r, c) = rng.Uniform();
-    y[r] = rng.Uniform();
+  ml::GaussianProcess slid_gp;
+  size_t step = 0;
+  for (auto _ : state) {
+    const size_t start = slides == 0 ? 0 : step++ % slides;
+    std::copy_n(pool.Data() + start * 65, n * 65, x.Data());
+    std::copy_n(pool_y.begin() + static_cast<long>(start), n, y.begin());
+    if (slid) {
+      benchmark::DoNotOptimize(slid_gp.Fit(x, y));
+    } else {
+      ml::GaussianProcess gp;
+      benchmark::DoNotOptimize(gp.Fit(x, y));
+    }
+    benchmark::ClobberMemory();
   }
-  // One OtterTune proposal: 200 candidates scored in one batch.
-  linalg::Matrix candidates(200, 65);
-  for (size_t r = 0; r < 200; ++r) {
-    for (size_t c = 0; c < 65; ++c) candidates.At(r, c) = rng.Uniform();
-  }
+}
+BENCHMARK_CAPTURE(BM_GpFit, window:fresh, false);
+BENCHMARK_CAPTURE(BM_GpFit, window:slid, true);
+
+// One OtterTune proposal: 200 candidates scored in one batch against a GP
+// over a full window (n = 120, d = 65).
+void BM_GpEiBatch(benchmark::State& state) {
+  linalg::Matrix x;
+  std::vector<double> y;
+  RandomTrainingPool(120, 4, &x, &y);
+  ml::GaussianProcess gp;
+  gp.Fit(x, y);
+  linalg::Matrix candidates;
+  std::vector<double> unused;
+  RandomTrainingPool(200, 5, &candidates, &unused);
   std::vector<double> scores;
   for (auto _ : state) {
-    ml::GaussianProcess gp;
-    gp.Fit(x, y);
     gp.ExpectedImprovementBatch(candidates, 0.5, &scores);
     benchmark::DoNotOptimize(scores.data());
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_GpFitAndEi)->Arg(60)->Arg(120);
+BENCHMARK(BM_GpEiBatch);
+
+// The GP's factorization alone: a squared-exponential kernel over n random
+// points of the 65-knob catalog plus the GP's noise on the diagonal.
+void BM_Cholesky(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  linalg::Matrix x;
+  std::vector<double> unused;
+  RandomTrainingPool(n, 6, &x, &unused);
+  linalg::Matrix k(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double sq = 0.0;
+      for (size_t c = 0; c < 65; ++c) {
+        const double diff = x.At(i, c) - x.At(j, c);
+        sq += diff * diff;
+      }
+      k.At(i, j) = std::exp(-0.5 * sq / (0.9 * 0.9)) + (i == j ? 5e-3 : 0.0);
+    }
+  }
+  linalg::Matrix lower;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::Cholesky(k, &lower));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Cholesky)->Arg(60)->Arg(120);
 
 void BM_PcaFit63Metrics(benchmark::State& state) {
   common::Rng rng(5);

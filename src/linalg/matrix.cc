@@ -176,8 +176,7 @@ Matrix Covariance(const Matrix& data) {
 namespace {
 
 // Sorts (diag, vectors-as-columns) into an EigenResult with eigenvalues
-// descending — shared by the QL and Jacobi paths so both report identically
-// ordered eigenpairs.
+// descending.
 EigenResult SortedEigenResult(const std::vector<double>& diag,
                               const Matrix& vectors) {
   const size_t n = diag.size();
@@ -290,8 +289,7 @@ EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps) {
   // Stage 2 — implicit-shift QL on the tridiagonal (classic tqli), with the
   // Givens rotations applied to z so its columns finish as eigenvectors of
   // the original matrix. The Wilkinson shift makes each eigenvalue converge
-  // in 2-3 iterations; `max_sweeps` is a safety cap per eigenvalue (the
-  // Jacobi path degrades the same way when its sweep budget runs out).
+  // in 2-3 iterations; `max_sweeps` is a safety cap per eigenvalue.
   for (int i = 1; i < ni; ++i) eat(i - 1) = eat(i);
   eat(ni - 1) = 0.0;
   for (int l = 0; l < ni; ++l) {
@@ -348,99 +346,33 @@ EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps) {
   return SortedEigenResult(d, z);
 }
 
-EigenResult SymmetricEigenJacobi(const Matrix& symmetric, int max_sweeps) {
-  assert(symmetric.rows() == symmetric.cols());
-  const size_t n = symmetric.rows();
-  Matrix a = symmetric;
-  Matrix v = Matrix::Identity(n);
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off_diagonal = 0.0;
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) off_diagonal += std::abs(a.At(p, q));
-    }
-    if (off_diagonal < 1e-12) break;
-
-    for (size_t p = 0; p < n; ++p) {
-      for (size_t q = p + 1; q < n; ++q) {
-        const double apq = a.At(p, q);
-        if (std::abs(apq) < 1e-15) continue;
-        const double app = a.At(p, p);
-        const double aqq = a.At(q, q);
-        const double tau = (aqq - app) / (2.0 * apq);
-        const double t = (tau >= 0.0 ? 1.0 : -1.0) /
-                         (std::abs(tau) + std::sqrt(1.0 + tau * tau));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-
-        for (size_t k = 0; k < n; ++k) {
-          const double akp = a.At(k, p);
-          const double akq = a.At(k, q);
-          a.At(k, p) = c * akp - s * akq;
-          a.At(k, q) = s * akp + c * akq;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double apk = a.At(p, k);
-          const double aqk = a.At(q, k);
-          a.At(p, k) = c * apk - s * aqk;
-          a.At(q, k) = s * apk + c * aqk;
-        }
-        for (size_t k = 0; k < n; ++k) {
-          const double vkp = v.At(k, p);
-          const double vkq = v.At(k, q);
-          v.At(k, p) = c * vkp - s * vkq;
-          v.At(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-
-  std::vector<double> diag(n);
-  for (size_t i = 0; i < n; ++i) diag[i] = a.At(i, i);
-  return SortedEigenResult(diag, v);
-}
-
-// hunterlint: hot
 bool Cholesky(const Matrix& a, Matrix* lower) {
   assert(a.rows() == a.cols());
+  assert(lower != &a);
   const size_t n = a.rows();
-  *lower = Matrix(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = a.At(i, j);
-      for (size_t k = 0; k < j; ++k) sum -= lower->At(i, k) * lower->At(j, k);
-      if (i == j) {
-        if (sum <= 0.0) return false;
-        lower->At(i, j) = std::sqrt(sum);
-      } else {
-        lower->At(i, j) = sum / lower->At(j, j);
-      }
-    }
-  }
-  return true;
+  lower->Reshape(n, n);
+  return simd::CholeskyLanes(a.Data(), n, lower->Data()) == n;
 }
 
 // hunterlint: hot
-std::vector<double> CholeskySolve(const Matrix& lower,
-                                  const std::vector<double>& b) {
+void CholeskySolve(const Matrix& lower, std::vector<double>* bx) {
   const size_t n = lower.rows();
-  assert(b.size() == n);
-  // Forward substitution: L y = b.
-  std::vector<double> y(n);
+  assert(bx->size() == n);
+  std::vector<double>& x = *bx;
+  // Forward substitution L y = b, y overwriting b: row i reads b(i) and
+  // the y(k < i) already written.
   for (size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (size_t k = 0; k < i; ++k) sum -= lower.At(i, k) * y[k];
-    y[i] = sum / lower.At(i, i);
+    double sum = x[i];
+    for (size_t k = 0; k < i; ++k) sum -= lower.At(i, k) * x[k];
+    x[i] = sum / lower.At(i, i);
   }
-  // Back substitution: L^T x = y.
-  std::vector<double> x(n);
+  // Back substitution L^T x = y, x overwriting y from the bottom up.
   for (size_t ii = n; ii > 0; --ii) {
     const size_t i = ii - 1;
-    double sum = y[i];
+    double sum = x[i];
     for (size_t k = i + 1; k < n; ++k) sum -= lower.At(k, i) * x[k];
     x[i] = sum / lower.At(i, i);
   }
-  return x;
 }
 
 }  // namespace hunter::linalg

@@ -1,16 +1,18 @@
 // Minimal dense linear algebra used by PCA (covariance + eigendecomposition),
-// Gaussian-process regression (Cholesky solves) and the batched MLP/DDPG
-// training paths. Row-major doubles. The matrices in this project are small
-// (tens to a few hundreds of rows), but the training loops call into them
-// thousands of times per tuning step, so the hot kernels are written to be
-// allocation-free (callers pass preallocated outputs that are reused across
-// steps) and cache-friendly (all inner loops stream contiguous rows).
+// Gaussian-process regression (Cholesky factorization and solves) and the
+// batched MLP/DDPG training paths. Row-major doubles. The matrices in this
+// project are small (tens to a few hundreds of rows), but the training
+// loops call into them thousands of times per tuning step, so the hot
+// kernels are written to be allocation-free (callers pass preallocated
+// outputs that are reused across steps) and cache-friendly (all inner
+// loops stream contiguous rows).
 //
 // Numeric contract: every GEMM kernel accumulates each output element with
 // the k (inner/contraction) index ascending, exactly like a textbook
-// dot-product loop. This keeps the AVX2 and scalar tiers bit-identical, a
-// batched MLP forward row equal to Mlp::Predict, and the golden training
-// digests in tests/ml/ (recorded from the former per-sample paths) valid.
+// dot-product loop, and the Cholesky factor is the row-order loop's to the
+// bit. This keeps the AVX2 and scalar tiers bit-identical, a batched MLP
+// forward row equal to Mlp::Predict, and the golden training and GP digests
+// in tests/ml/ (recorded from the former per-sample paths) valid.
 
 #ifndef HUNTER_LINALG_MATRIX_H_
 #define HUNTER_LINALG_MATRIX_H_
@@ -136,23 +138,24 @@ struct EigenResult {
 };
 
 // Householder tridiagonalization + implicit-shift QL — O(n^3) with a small
-// constant, vs the cyclic Jacobi's O(n^3) *per sweep*. This is the
-// production path (PCA refits sit on it). `max_sweeps` bounds the QL
-// iterations spent per eigenvalue; convergence normally takes 2-3.
+// constant. This is the production path (PCA refits sit on it); its test
+// oracle is a cyclic Jacobi sweep in tests/linalg/matrix_test.cc.
+// `max_sweeps` bounds the QL iterations spent per eigenvalue; convergence
+// normally takes 2-3.
 EigenResult SymmetricEigen(const Matrix& symmetric, int max_sweeps = 64);
 
-// Cyclic Jacobi rotations — the original implementation, retained as the
-// independent reference oracle for the QL path (tested against it on random
-// symmetric matrices; see EigenTest in tests/linalg/matrix_test.cc).
-EigenResult SymmetricEigenJacobi(const Matrix& symmetric, int max_sweeps = 64);
-
 // Cholesky factorization A = L * L^T of a symmetric positive-definite
-// matrix. Returns false if the matrix is not (numerically) SPD.
+// matrix, reading A's lower triangle. Returns false if the matrix is not
+// (numerically) SPD, leaving `lower` unspecified. `lower` is reshaped, not
+// reallocated, so a caller that keeps it factors allocation-free. The
+// factorization runs with rows as SIMD lanes (simd::CholeskyLanes), bit
+// for bit the row-order loop: every entry subtracts the same products in
+// ascending k and divides by the same pivot.
 bool Cholesky(const Matrix& a, Matrix* lower);
 
-// Solves A x = b given the Cholesky factor L (forward + back substitution).
-std::vector<double> CholeskySolve(const Matrix& lower,
-                                  const std::vector<double>& b);
+// Solves A x = b in place given the Cholesky factor L (forward + back
+// substitution): `bx` goes in holding b and comes out holding x.
+void CholeskySolve(const Matrix& lower, std::vector<double>* bx);
 
 }  // namespace hunter::linalg
 

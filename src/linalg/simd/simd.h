@@ -1,8 +1,8 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
 // paths: the GEMM micro-kernels, the elementwise Matrix ops, the GP
-// squared-distance expansion and many-right-hand-side forward substitution,
-// PCA centering/standardization, and the MLP activation / gradient / Adam
-// loops.
+// squared-distance expansion, many-right-hand-side forward substitution and
+// the Cholesky factorization, PCA centering/standardization, and the MLP
+// activation / gradient / Adam loops.
 //
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
@@ -11,7 +11,7 @@
 // honors HUNTER_FORCE_SCALAR=1 and the in-process testing override.
 //
 // The bit-exactness contract — the reason this layer can sit under code
-// whose tests EXPECT_EQ doubles — rests on two rules:
+// whose tests EXPECT_EQ doubles — rests on three rules:
 //
 //  1. Vectorize across INDEPENDENT OUTPUT ELEMENTS (column lanes), never
 //     across a single element's reduction. A GEMM output element is one
@@ -21,13 +21,25 @@
 //     rounds. Genuine reductions (dot products, the Cholesky diagonal) stay
 //     scalar. A substitution sum stays sequential per right-hand side; when
 //     there are many right-hand sides, the lanes are different right-hand
-//     sides (ForwardSubstituteLanes).
+//     sides (ForwardSubstituteLanes). The entries below a Cholesky pivot
+//     are independent outputs too, so rows are lanes (CholeskyLanes).
 //  2. No fused contraction. Every kernel issues a separate multiply and
 //     add (vmulpd + vaddpd), each rounding to double, exactly like the
 //     scalar expression under the tree-wide -ffp-contract=off (see the root
 //     CMakeLists.txt). An FMA's single rounding would be "more accurate"
 //     and therefore different — the *_vs_scalar equivalence gates demand
 //     max_abs_diff 0.0, not "close".
+//  3. One NaN where two NaNs meet in a commutative operation. When both
+//     operands of an add or multiply are NaN, x86 returns the first one,
+//     and the compiler chooses the operand order of a scalar `a + b` freely
+//     (GCC picks differently at -O0 and -O3). So an output that can receive
+//     two different NaNs through such an operation — ForwardSubstituteLanes'
+//     sums of squares, CholeskyLanes' factor, whose products multiply two
+//     factor entries — is written as the canonical quiet NaN
+//     (std::numeric_limits<double>::quiet_NaN()) wherever it is NaN, at both
+//     tiers. NaN-ness itself never depends on operand order. Outputs that
+//     only subtract, divide, or multiply by a finite operand keep their NaN
+//     bits: there the first operand is fixed by the expression.
 //
 // Predicated scalar constructs map to exact vector equivalents:
 // `x > 0 ? x : 0` is vmaxpd(x, 0) (maxpd returns the second operand on NaN
@@ -45,6 +57,7 @@
 #define HUNTER_LINALG_SIMD_SIMD_H_
 
 #include <cstddef>
+#include <limits>
 
 #include "common/cpu.h"
 
@@ -70,6 +83,11 @@ inline const char* ActiveTierName() {
                                              : common::SimdTier::kScalar);
 }
 inline int ActiveTierIndex() { return DispatchAvx2() ? 1 : 0; }
+
+// Rule 3's canonical NaN: `v` unless it is NaN, else the one quiet NaN.
+inline double CanonicalNan(double v) {
+  return v == v ? v : std::numeric_limits<double>::quiet_NaN();
+}
 
 // ---------------------------------------------------------------------------
 // GEMM micro-kernels. Same contracts as linalg::GemmInto/GemmBiasInto/
@@ -208,11 +226,36 @@ void SquaredDistIntoAvx2(double norm_a, const double* norms_b,
 // The substitution sum stays sequential per right-hand side; the lanes are
 // different right-hand sides (rule 1). The AVX2 lane keeps 16 columns in
 // four YMM accumulators and reuses each broadcast L(j,k) across them, then
-// runs a 4-wide tail and a scalar tail.
+// runs a 4-wide tail and a scalar tail. A NaN in red is written as the
+// canonical quiet NaN (rule 3): its sum adds two squares that may be
+// different NaNs.
 void ForwardSubstituteLanesScalar(const double* l, size_t n, double* bw,
                                   size_t m, double* red);
 void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
                                 size_t m, double* red);
+
+// Cholesky factorization A = L Lᵀ with rows as lanes. `a` is n x n
+// row-major (only its lower triangle is read), `l` receives the n x n
+// row-major factor with zeros above the diagonal. Returns n on success, or
+// the first pivot j whose sum is <= 0 (the matrix is not numerically SPD);
+// `l` is then unspecified. Each entry is the row-order loop's:
+//   sum = A(i,j); sum -= L(i,k) * L(j,k) for k = 0..j-1;
+//   L(j,j) = sqrt(sum); L(i,j) = sum / L(j,j) for i > j
+// and every NaN written to `l` is the canonical quiet NaN (rule 3).
+//
+// The scalar twin is that loop, row by row. The AVX2 lane runs column by
+// column: the diagonal stays a scalar chain (rule 1), and the entries below
+// it are independent outputs, so 16 rows at a time share each broadcast
+// L(j,k) across four YMM accumulators, then a 4-wide tail and a scalar
+// tail follow. Each lane still subtracts the same products in ascending k
+// and divides by the same L(j,j) as the row-order loop; only which rows run
+// together changes. While column j is in use, its entries below the
+// diagonal live in row j of l's strict upper triangle (so 16 rows of column
+// k are one contiguous load), and as it completes it is copied into the
+// lower triangle (so row j's L(j,0..j-1) is contiguous for the diagonal
+// chain and the broadcasts). The upper triangle is zeroed at the end.
+size_t CholeskyLanesScalar(const double* a, size_t n, double* l);
+size_t CholeskyLanesAvx2(const double* a, size_t n, double* l);
 
 // out[i] = clamp(0.5 * (x[i] + 1.0), 0, 1) — DDPG's tanh-to-unit-range
 // action squash. Reproduces std::clamp's test order with compare+blend
@@ -301,6 +344,11 @@ inline void ForwardSubstituteLanes(const double* l, size_t n, double* bw,
                                    size_t m, double* red) {
   if (DispatchAvx2()) ForwardSubstituteLanesAvx2(l, n, bw, m, red);
   else ForwardSubstituteLanesScalar(l, n, bw, m, red);
+}
+
+inline size_t CholeskyLanes(const double* a, size_t n, double* l) {
+  if (DispatchAvx2()) return CholeskyLanesAvx2(a, n, l);
+  return CholeskyLanesScalar(a, n, l);
 }
 
 inline void ClampUnitFromTanhInto(const double* x, double* out, size_t n) {

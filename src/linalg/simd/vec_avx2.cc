@@ -18,10 +18,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace hunter::linalg::simd {
 
 const bool kHasAvx2Kernels = true;
+
+namespace {
+
+// Rule 3 on four lanes: every NaN becomes the canonical quiet NaN.
+__m256d CanonicalNan4(__m256d v) {
+  return _mm256_blendv_pd(
+      v, _mm256_set1_pd(std::numeric_limits<double>::quiet_NaN()),
+      _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
+}
+
+}  // namespace
 
 void AddIntoAvx2(const double* x, const double* y, double* out, size_t n) {
   size_t i = 0;
@@ -235,10 +247,10 @@ void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
       r2 = _mm256_add_pd(r2, _mm256_mul_pd(s2, s2));
       r3 = _mm256_add_pd(r3, _mm256_mul_pd(s3, s3));
     }
-    _mm256_storeu_pd(red + c, r0);
-    _mm256_storeu_pd(red + c + 4, r1);
-    _mm256_storeu_pd(red + c + 8, r2);
-    _mm256_storeu_pd(red + c + 12, r3);
+    _mm256_storeu_pd(red + c, CanonicalNan4(r0));
+    _mm256_storeu_pd(red + c + 4, CanonicalNan4(r1));
+    _mm256_storeu_pd(red + c + 8, CanonicalNan4(r2));
+    _mm256_storeu_pd(red + c + 12, CanonicalNan4(r3));
   }
   for (; c + 4 <= m; c += 4) {
     __m256d r = _mm256_setzero_pd();
@@ -254,7 +266,7 @@ void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
       _mm256_storeu_pd(wj, s);
       r = _mm256_add_pd(r, _mm256_mul_pd(s, s));
     }
-    _mm256_storeu_pd(red + c, r);
+    _mm256_storeu_pd(red + c, CanonicalNan4(r));
   }
   for (; c < m; ++c) {
     double r = 0.0;
@@ -265,8 +277,63 @@ void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
       bw[j * m + c] = sum;
       r += sum * sum;
     }
-    red[c] = r;
+    red[c] = CanonicalNan(r);
   }
+}
+
+size_t CholeskyLanesAvx2(const double* a, size_t n, double* l) {
+  for (size_t j = 0; j < n; ++j) {
+    // Row j: L(j,0..j-1) left of the diagonal (copied in as each column
+    // completed), column j's working copy right of it.
+    double* lj = l + j * n;
+    double sum = a[j * n + j];
+    for (size_t k = 0; k < j; ++k) sum -= lj[k] * lj[k];
+    if (sum <= 0.0) return j;
+    const double diag = CanonicalNan(std::sqrt(sum));
+    lj[j] = diag;
+    for (size_t i = j + 1; i < n; ++i) lj[i] = a[i * n + j];
+
+    // Rows i > j as lanes: lj[i] -= L(j,k) * L(i,k), k ascending, where
+    // L(i,k) for 16 consecutive rows is l[k * n + i .. i + 15].
+    const __m256d d = _mm256_set1_pd(diag);
+    size_t i = j + 1;
+    for (; i + 16 <= n; i += 16) {
+      __m256d s0 = _mm256_loadu_pd(lj + i);
+      __m256d s1 = _mm256_loadu_pd(lj + i + 4);
+      __m256d s2 = _mm256_loadu_pd(lj + i + 8);
+      __m256d s3 = _mm256_loadu_pd(lj + i + 12);
+      for (size_t k = 0; k < j; ++k) {
+        const __m256d ljk = _mm256_broadcast_sd(lj + k);
+        const double* lk = l + k * n + i;
+        s0 = _mm256_sub_pd(s0, _mm256_mul_pd(ljk, _mm256_loadu_pd(lk)));
+        s1 = _mm256_sub_pd(s1, _mm256_mul_pd(ljk, _mm256_loadu_pd(lk + 4)));
+        s2 = _mm256_sub_pd(s2, _mm256_mul_pd(ljk, _mm256_loadu_pd(lk + 8)));
+        s3 = _mm256_sub_pd(s3, _mm256_mul_pd(ljk, _mm256_loadu_pd(lk + 12)));
+      }
+      _mm256_storeu_pd(lj + i, CanonicalNan4(_mm256_div_pd(s0, d)));
+      _mm256_storeu_pd(lj + i + 4, CanonicalNan4(_mm256_div_pd(s1, d)));
+      _mm256_storeu_pd(lj + i + 8, CanonicalNan4(_mm256_div_pd(s2, d)));
+      _mm256_storeu_pd(lj + i + 12, CanonicalNan4(_mm256_div_pd(s3, d)));
+    }
+    for (; i + 4 <= n; i += 4) {
+      __m256d s = _mm256_loadu_pd(lj + i);
+      for (size_t k = 0; k < j; ++k) {
+        s = _mm256_sub_pd(s, _mm256_mul_pd(_mm256_broadcast_sd(lj + k),
+                                           _mm256_loadu_pd(l + k * n + i)));
+      }
+      _mm256_storeu_pd(lj + i, CanonicalNan4(_mm256_div_pd(s, d)));
+    }
+    for (; i < n; ++i) {
+      double s = lj[i];
+      for (size_t k = 0; k < j; ++k) s -= lj[k] * l[k * n + i];
+      lj[i] = CanonicalNan(s / diag);
+    }
+    for (i = j + 1; i < n; ++i) l[i * n + j] = lj[i];
+  }
+  for (size_t j = 0; j < n; ++j) {
+    std::fill(l + j * n + j + 1, l + (j + 1) * n, 0.0);
+  }
+  return n;
 }
 
 void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
@@ -362,6 +429,9 @@ void SquaredDistIntoAvx2(double norm_a, const double* norms_b,
 void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
                                 size_t m, double* red) {
   ForwardSubstituteLanesScalar(l, n, bw, m, red);
+}
+size_t CholeskyLanesAvx2(const double* a, size_t n, double* l) {
+  return CholeskyLanesScalar(a, n, l);
 }
 void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
   ClampUnitFromTanhIntoScalar(x, out, n);

@@ -85,9 +85,8 @@ void SquaredDistIntoScalar(double norm_a, const double* norms_b,
 void ForwardSubstituteLanesScalar(const double* l, size_t n, double* bw,
                                   size_t m, double* red) {
   // Row by row across all right-hand sides, so consecutive operations are
-  // independent. The sums of squares then run per column into a register
-  // accumulator, as the one-vector loop and the AVX2 lanes add them: that
-  // operand order decides which NaN survives when two different ones meet.
+  // independent. The sums of squares then run per column, j ascending, as
+  // the one-vector loop and the AVX2 lanes add them.
   for (size_t j = 0; j < n; ++j) {
     double* wj = bw + j * m;
     for (size_t k = 0; k < j; ++k) {
@@ -101,8 +100,27 @@ void ForwardSubstituteLanesScalar(const double* l, size_t n, double* bw,
   for (size_t c = 0; c < m; ++c) {
     double sum = 0.0;
     for (size_t j = 0; j < n; ++j) sum += bw[j * m + c] * bw[j * m + c];
-    red[c] = sum;
+    red[c] = CanonicalNan(sum);
   }
+}
+
+size_t CholeskyLanesScalar(const double* a, size_t n, double* l) {
+  for (size_t i = 0; i < n; ++i) {
+    double* li = l + i * n;
+    for (size_t j = 0; j <= i; ++j) {
+      const double* lj = l + j * n;
+      double sum = a[i * n + j];
+      for (size_t k = 0; k < j; ++k) sum -= li[k] * lj[k];
+      if (i == j) {
+        if (sum <= 0.0) return i;
+        li[j] = CanonicalNan(std::sqrt(sum));
+      } else {
+        li[j] = CanonicalNan(sum / lj[j]);
+      }
+    }
+    std::fill(li + i + 1, li + n, 0.0);
+  }
+  return n;
 }
 
 void ClampUnitFromTanhIntoScalar(const double* x, double* out, size_t n) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <utility>
 
 #include "linalg/simd/simd.h"
 
@@ -37,43 +39,84 @@ double DotAscending(const double* a, const double* b, size_t n) {
 
 }  // namespace
 
+size_t GaussianProcess::SharedRows(const linalg::Matrix& x,
+                                   size_t* shift) const {
+  const size_t old_n = train_x_.rows();
+  if (x.cols() != train_x_.cols()) return 0;
+  // Row-major storage makes each candidate overlap one contiguous run, and
+  // memcmp stops at the first differing byte.
+  for (size_t s = 0; s < old_n; ++s) {
+    const size_t kept = std::min(x.rows(), old_n - s);
+    if (std::memcmp(train_x_.Data() + s * x.cols(), x.Data(),
+                    kept * x.cols() * sizeof(double)) == 0) {
+      *shift = s;
+      return kept;
+    }
+  }
+  return 0;
+}
+
+// hunterlint: hot
 bool GaussianProcess::Fit(const linalg::Matrix& x,
                           const std::vector<double>& y) {
   assert(x.rows() == y.size());
   const size_t n = x.rows();
+  const size_t d = x.cols();
+  const size_t old_n = train_x_.rows();
+  size_t shift = 0;
+  const size_t kept = SharedRows(x, &shift);
+
+  // The shared block moves into place: K(i,j) = K_old(i+s, j+s) for
+  // i, j < kept, and likewise the row norms. The new kernel is assembled in
+  // chol_'s storage, which this fit overwrites anyway, then the two swap.
+  chol_.Reshape(n, n);
+  for (size_t i = 0; i < kept; ++i) {
+    std::copy_n(kernel_.Data() + (i + shift) * old_n + shift, kept,
+                chol_.Data() + i * n);
+  }
+  std::swap(kernel_, chol_);
+  row_norms_.erase(row_norms_.begin(),
+                   row_norms_.begin() + static_cast<long>(shift));
+  row_norms_.resize(n);
   train_x_ = x;
 
-  // Gram matrix G = X Xᵀ in one GEMM, then K(i,j) from the squared-distance
-  // expansion. The row norms are read off G's diagonal so the expansion
-  // yields exactly zero distance on the diagonal (nᵢ + nᵢ − 2nᵢ);
-  // PredictBatch reuses them for the cross-kernel.
-  linalg::Matrix gram(n, n);
-  if (n > 0) {
-    const linalg::Matrix xt = x.Transpose();
-    linalg::GemmTransposedAInto(xt.Data(), x.cols(), n, xt.Data(), n,
-                                /*accumulate=*/false, gram.Data());
-  }
-  row_norms_.resize(n);
-  for (size_t i = 0; i < n; ++i) row_norms_[i] = gram.At(i, i);
-
-  linalg::Matrix k(n, n);
-  // Squared distances for row i's upper triangle in one vector kernel (the
-  // max(0, nᵢ + nⱼ − 2g) expansion), then the scalar exp — libm has no
-  // bit-reproducible vector form.
-  const double ls = options_.length_scale * options_.length_scale;
-  std::vector<double> sq(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double* gram_row = gram.Data() + i * n;
-    linalg::simd::SquaredDistInto(row_norms_[i], row_norms_.data() + i,
-                                  gram_row + i, sq.data() + i, n - i);
-    for (size_t j = i; j < n; ++j) {
-      const double value = options_.signal_variance * std::exp(-0.5 * sq[j] / ls);
-      k.At(i, j) = value;
-      k.At(j, i) = value;
+  // Rows [kept, n) are new. Their Gram entries against every row come from
+  // one GEMM, G = X X_newᵀ (n x fresh, d ascending, each product in the
+  // order a full X Xᵀ forms it); a new row's norm is its diagonal entry, so
+  // the expansion gives exactly zero distance there (nᵢ + nᵢ − 2nᵢ).
+  const size_t fresh = n - kept;
+  if (fresh > 0) {
+    fresh_t_.Reshape(d, fresh);
+    for (size_t r = 0; r < fresh; ++r) {
+      for (size_t c = 0; c < d; ++c) fresh_t_.At(c, r) = x.At(kept + r, c);
     }
-    k.At(i, i) += options_.noise_variance;
+    gram_.Reshape(n, fresh);
+    linalg::GemmInto(x.Data(), n, d, fresh_t_.Data(), fresh,
+                     /*accumulate=*/false, gram_.Data());
+    for (size_t i = kept; i < n; ++i) row_norms_[i] = gram_.At(i, i - kept);
+
+    // Each new entry K(j,i), i >= j, as a full build computes it in row j's
+    // pass: the vectorized max(0, nⱼ + nᵢ − 2g) expansion (the lower
+    // index's norm first), then the scalar exp — libm has no
+    // bit-reproducible vector form. An entry depends on its two rows alone,
+    // so the kept block equals what a full build would compute.
+    const double ls = options_.length_scale * options_.length_scale;
+    sq_.resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      const size_t begin = std::max(j, kept);
+      linalg::simd::SquaredDistInto(row_norms_[j], row_norms_.data() + begin,
+                                    gram_.Data() + j * fresh + (begin - kept),
+                                    sq_.data(), n - begin);
+      for (size_t i = begin; i < n; ++i) {
+        const double value =
+            options_.signal_variance * std::exp(-0.5 * sq_[i - begin] / ls);
+        kernel_.At(j, i) = value;
+        kernel_.At(i, j) = value;
+      }
+      if (j >= kept) kernel_.At(j, j) += options_.noise_variance;
+    }
   }
-  if (!linalg::Cholesky(k, &chol_)) {
+  if (!linalg::Cholesky(kernel_, &chol_)) {
     fitted_ = false;
     return false;
   }
@@ -81,9 +124,9 @@ bool GaussianProcess::Fit(const linalg::Matrix& x,
   y_mean_ = 0.0;
   for (double v : y) y_mean_ += v;
   if (n > 0) y_mean_ /= static_cast<double>(n);
-  std::vector<double> centered(n);
-  for (size_t i = 0; i < n; ++i) centered[i] = y[i] - y_mean_;
-  alpha_ = linalg::CholeskySolve(chol_, centered);
+  alpha_.resize(n);
+  for (size_t i = 0; i < n; ++i) alpha_[i] = y[i] - y_mean_;
+  linalg::CholeskySolve(chol_, &alpha_);
   fitted_ = true;
   return true;
 }

@@ -7,9 +7,17 @@
 // acquisition evaluation per candidate per Propose), so the hot paths follow
 // the same playbook as the batched MLP/DDPG work (DESIGN.md §8, §11):
 //
-//  * The kernel matrix is built from the squared-distance expansion
-//    ‖a − b‖² = ‖a‖² + ‖b‖² − 2 aᵀb with the Gram matrix computed by one
-//    GemmTransposedAInto call, instead of an allocating per-row double loop.
+//  * Fit does only new work. The BO tuners refit on a window that grows or
+//    slides by a row or a few, so the new training set's leading rows are
+//    usually, bit for bit, a run of the last set's rows. Fit keeps the last
+//    kernel matrix and row norms; the shared block moves into place and
+//    only the new rows' entries are computed: their Gram entries against
+//    every row by one GEMM, then the squared-distance expansion
+//    ‖a − b‖² = ‖a‖² + ‖b‖² − 2 aᵀb and libm exp. A first fit is the same
+//    path with nothing kept. A kernel entry depends only on its two rows,
+//    so the kept entries are the ones a full build would compute, bit for
+//    bit. The factorization is linalg::Cholesky (rows as SIMD lanes). All
+//    scratch is kept as members: a steady-state fit allocates nothing.
 //  * PredictBatch / ExpectedImprovementBatch are the only prediction path.
 //    They score a whole candidate matrix over reused scratch arenas with the
 //    candidates as lanes: the cross-kernel is built transposed (n x m, one
@@ -23,6 +31,8 @@
 //    pins them, and GpTest.WindowGrowthMatchesSeedGp and
 //    GpTest.ExpectedImprovementBatchMatchesSeedGp check them against an
 //    independent formula (ref::SeedGp, tests/ml/seed_ml_ref.h) to 1e-9.
+//    GpTest.RefitSequenceMatchesFreshFits holds every kind of refit to a
+//    fresh GP's outputs, bit for bit.
 
 #ifndef HUNTER_ML_GAUSSIAN_PROCESS_H_
 #define HUNTER_ML_GAUSSIAN_PROCESS_H_
@@ -69,13 +79,26 @@ class GaussianProcess {
   const GpOptions& options() const { return options_; }
 
  private:
+  // Rows [0, kept) of `x` equal rows [shift, shift + kept) of the last
+  // training set bit for bit, for the smallest such shift, with kept as
+  // long as both sets allow; returns kept (0 when no run is shared or the
+  // dimension changed).
+  size_t SharedRows(const linalg::Matrix& x, size_t* shift) const;
+
   GpOptions options_;
   bool fitted_ = false;
   linalg::Matrix train_x_;         // n x d
   std::vector<double> row_norms_;  // ‖x_i‖², bit-matching the Gram diagonal
+  linalg::Matrix kernel_;          // K + noise I, kept for the next Fit
   double y_mean_ = 0.0;
   linalg::Matrix chol_;            // Cholesky factor of K + noise I
   std::vector<double> alpha_;      // (K + noise I)^-1 (y - mean)
+
+  // Fit scratch: the new rows transposed (d x fresh), their Gram block
+  // against every row (n x fresh) and one row of squared distances.
+  linalg::Matrix fresh_t_;
+  linalg::Matrix gram_;
+  std::vector<double> sq_;
 
   // Scratch arenas for the batch paths (allocation-free in steady state).
   mutable linalg::Matrix query_t_;  // d x m, the candidates transposed

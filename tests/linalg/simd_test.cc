@@ -351,17 +351,21 @@ TEST(SimdGemmTest, EntryPointsMatchTextbookLoopBitForBit) {
   }
 }
 
-// A well-conditioned n x n lower-triangular factor, as the GP passes: the
-// Cholesky factor of MᵀM + n·I for a random M.
-Matrix RandomCholeskyFactor(size_t n, Rng* rng) {
+// A random SPD matrix MᵀM + n·I, every entry carrying a full mantissa.
+Matrix RandomSpd(size_t n, Rng* rng) {
   Matrix mat(n, n);
   for (size_t r = 0; r < n; ++r) {
     for (size_t c = 0; c < n; ++c) mat.At(r, c) = rng->Uniform(-1.0, 1.0);
   }
   Matrix spd = mat.Transpose().Multiply(mat);
   for (size_t i = 0; i < n; ++i) spd.At(i, i) += static_cast<double>(n);
+  return spd;
+}
+
+// A well-conditioned n x n lower-triangular factor, as the GP passes.
+Matrix RandomCholeskyFactor(size_t n, Rng* rng) {
   Matrix lower;
-  EXPECT_TRUE(Cholesky(spd, &lower));
+  EXPECT_TRUE(Cholesky(RandomSpd(n, rng), &lower));
   return lower;
 }
 
@@ -383,7 +387,7 @@ void ForwardSubstituteOneByOne(const Matrix& l, const std::vector<double>& b,
       reduction += column[j] * column[j];
       (*w)[j * m + c] = column[j];
     }
-    (*red)[c] = reduction;
+    (*red)[c] = CanonicalNan(reduction);
   }
 }
 
@@ -422,7 +426,8 @@ TEST(SimdSolveTest, ForwardSubstituteLanesBitIdentical) {
 
 TEST(SimdSolveTest, ForwardSubstituteLanesSpecialValuesBitIdentical) {
   // Non-finite and tiny right-hand sides propagate through later rows of
-  // their own column only; NaN signs and payloads must match per lane.
+  // their own column only; W's NaN signs and payloads must match per lane,
+  // and every NaN sum of squares is the canonical NaN (simd.h rule 3).
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   const double den = std::numeric_limits<double>::denorm_min();
@@ -438,6 +443,119 @@ TEST(SimdSolveTest, ForwardSubstituteLanesSpecialValuesBitIdentical) {
         b[i] = specials[(i / 3) % specials.size()];
       }
       ExpectLanesMatchOneByOne(l, b, m);
+    }
+  }
+}
+
+// The row-order Cholesky loop the lanes kernel must reproduce, as
+// linalg::Cholesky ran it before the kernel existed. Returns the first
+// pivot whose sum is <= 0, or n.
+size_t RowOrderCholesky(const Matrix& a, Matrix* lower) {
+  const size_t n = a.rows();
+  *lower = Matrix(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double sum = a.At(i, j);
+      for (size_t k = 0; k < j; ++k) sum -= lower->At(i, k) * lower->At(j, k);
+      if (i == j) {
+        if (sum <= 0.0) return i;
+        lower->At(i, j) = std::sqrt(sum);
+      } else {
+        lower->At(i, j) = sum / lower->At(j, j);
+      }
+    }
+  }
+  return n;
+}
+
+// Both tiers and the dispatched linalg::Cholesky against the row-order
+// loop, whose NaNs are canonicalized afterwards (rule 3: which entries are
+// NaN never depends on operand order, so that is the lanes' factor).
+// Returns the pivot they agree on. On success every entry must match; on a
+// rejected pivot p, the entries both orders have written: rows 0..p,
+// columns 0..min(row, p - 1).
+size_t ExpectCholeskyLanesMatchRowOrder(const Matrix& a) {
+  const size_t n = a.rows();
+  Matrix want;
+  const size_t pivot = RowOrderCholesky(a, &want);
+  for (size_t i = 0; i < n * n; ++i) {
+    want.Data()[i] = CanonicalNan(want.Data()[i]);
+  }
+  const double sentinel = -7.25;  // every entry must be overwritten
+  std::vector<double> scalar(n * n, sentinel), avx2(n * n, sentinel);
+  EXPECT_EQ(CholeskyLanesScalar(a.Data(), n, scalar.data()), pivot);
+  EXPECT_EQ(CholeskyLanesAvx2(a.Data(), n, avx2.data()), pivot);
+  Matrix dispatched;
+  EXPECT_EQ(Cholesky(a, &dispatched), pivot == n);
+  const size_t rows = pivot == n ? n : pivot + 1;
+  for (size_t i = 0; i < rows; ++i) {
+    const size_t cols = pivot == n ? n : std::min(i + 1, pivot);
+    for (size_t j = 0; j < cols; ++j) {
+      SCOPED_TRACE(::testing::Message() << "L(" << i << "," << j << ")");
+      const uint64_t bits = Bits(want.At(i, j));
+      EXPECT_EQ(Bits(scalar[i * n + j]), bits);
+      EXPECT_EQ(Bits(avx2[i * n + j]), bits);
+      if (pivot == n) {
+        EXPECT_EQ(Bits(dispatched.At(i, j)), bits);
+      }
+    }
+  }
+  return pivot;
+}
+
+TEST(SimdCholeskyTest, LanesMatchRowOrderLoopBitForBit) {
+  // Every n to 40 covers each count of 16-row panels, 4-row tails and
+  // scalar rows below a pivot; the larger sizes cross a panel boundary
+  // (63-65) or sit at the GP's window (119-121) and past it.
+  Rng rng(0xC401E5);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  for (const size_t n : {63, 64, 65, 119, 120, 121, 130}) sizes.push_back(n);
+  for (const size_t n : sizes) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    EXPECT_EQ(ExpectCholeskyLanesMatchRowOrder(RandomSpd(n, &rng)), n);
+  }
+}
+
+TEST(SimdCholeskyTest, RejectsNonSpdAtTheSamePivot) {
+  // A diagonal entry of 0 makes its pivot's sum negative (it subtracts
+  // squares of the row's nonzero entries), or 0 at j = 0; the factor up to
+  // that pivot is unchanged.
+  Rng rng(0xC401E6);
+  for (const size_t n : {18, 40, 130}) {
+    for (const size_t bad : {size_t{0}, size_t{1}, size_t{17}, n - 1}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " pivot=" << bad);
+      Matrix a = RandomSpd(n, &rng);
+      a.At(bad, bad) = 0.0;
+      EXPECT_EQ(ExpectCholeskyLanesMatchRowOrder(a), bad);
+    }
+  }
+}
+
+TEST(SimdCholeskyTest, SpecialValuesBitIdentical) {
+  // Non-finite, signed-zero and denormal entries below the diagonal. A NaN
+  // spreads through its row and every later row without failing a pivot
+  // (NaN <= 0 is false); an infinity fails a later one. NaNs of both signs
+  // meet in the products L(i,k) * L(j,k), so the canonical NaN is the only
+  // one the factor may hold.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double den = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> specials = {nan, -nan, 0.0, -0.0, den, -den,
+                                        1e-310, inf, -inf};
+  Rng rng(0xC401E7);
+  for (const size_t n : {5, 20, 37}) {
+    for (size_t first = 0; first < specials.size(); ++first) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " first=" << first);
+      Matrix a = RandomSpd(n, &rng);
+      // Up to three specials at spread positions, cycling through the list.
+      for (size_t s = 0; s < 3; ++s) {
+        const size_t i = (n / 2 + 5 * s + first) % n;
+        const size_t j = (s + first) % (i + 1);
+        if (i == j) continue;
+        a.At(i, j) = specials[(first + s) % specials.size()];
+      }
+      ExpectCholeskyLanesMatchRowOrder(a);
     }
   }
 }

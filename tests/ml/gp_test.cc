@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,6 +125,14 @@ linalg::Matrix RowSlice(const linalg::Matrix& x, size_t begin, size_t end) {
   return out;
 }
 
+// The bits of a double, so a comparison counts signed zeros and NaN
+// payloads.
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 TEST(GpTest, RefitOnSlidWindowMatchesFreshFit) {
   common::Rng rng(102);
   const size_t n = 12;
@@ -132,7 +141,8 @@ TEST(GpTest, RefitOnSlidWindowMatchesFreshFit) {
   MakeRandomTraining(n, 3, &rng, &x, &y);
 
   // A growing window, then a slid one (drops the oldest row), as the BO
-  // tuners refit: nothing from the earlier fits may leak into the last.
+  // tuners refit: what the last fit keeps from the earlier ones must be
+  // exactly what a fresh fit computes.
   GaussianProcess gp;
   ASSERT_TRUE(gp.Fit(RowSlice(x, 0, 8), {y.begin(), y.begin() + 8}));
   ASSERT_TRUE(gp.Fit(RowSlice(x, 0, 9), {y.begin(), y.begin() + 9}));
@@ -149,8 +159,9 @@ TEST(GpTest, RefitOnSlidWindowMatchesFreshFit) {
   fresh.PredictBatch(q, &fresh_fit);
   ASSERT_EQ(refit.size(), fresh_fit.size());
   for (size_t r = 0; r < refit.size(); ++r) {
-    EXPECT_NEAR(refit[r].mean, fresh_fit[r].mean, 1e-12);
-    EXPECT_NEAR(refit[r].variance, fresh_fit[r].variance, 1e-12);
+    EXPECT_EQ(Bits(refit[r].mean), Bits(fresh_fit[r].mean)) << "query " << r;
+    EXPECT_EQ(Bits(refit[r].variance), Bits(fresh_fit[r].variance))
+        << "query " << r;
   }
 }
 
@@ -170,6 +181,90 @@ uint64_t BatchOutputDigest(const GaussianProcess& gp, const linalg::Matrix& q,
   }
   digest.Mix(scores);
   return digest.value();
+}
+
+// A named training window for the refit sequence below.
+struct Window {
+  const char* what;
+  linalg::Matrix x;
+  std::vector<double> y;
+};
+
+Window Slice(const char* what, const linalg::Matrix& x,
+             const std::vector<double>& y, size_t begin, size_t end) {
+  return {what, RowSlice(x, begin, end),
+          {y.begin() + static_cast<long>(begin),
+           y.begin() + static_cast<long>(end)}};
+}
+
+// The rows of `x` at `picks`, in that order.
+Window Pick(const char* what, const linalg::Matrix& x,
+            const std::vector<double>& y, const std::vector<size_t>& picks) {
+  Window w{what, linalg::Matrix(picks.size(), x.cols()), {}};
+  for (size_t r = 0; r < picks.size(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) w.x.At(r, c) = x.At(picks[r], c);
+    w.y.push_back(y[picks[r]]);
+  }
+  return w;
+}
+
+// One GP driven through every kind of refit Fit distinguishes, each
+// followed by the same queries on a fresh GP fitted to the same data: the
+// digests must be equal after every fit. The windows are row slices of one
+// pool, so consecutive training sets share runs of rows at various offsets.
+TEST(GpTest, RefitSequenceMatchesFreshFits) {
+  common::Rng rng(0x6EF17);
+  linalg::Matrix pool, wide;
+  std::vector<double> y, wide_y;
+  MakeRandomTraining(200, 7, &rng, &pool, &y);
+  MakeRandomTraining(200, 65, &rng, &wide, &wide_y);
+
+  std::vector<Window> windows;
+  windows.push_back(Slice("fresh", pool, y, 0, 30));
+  windows.push_back(Slice("grow by one", pool, y, 0, 31));
+  windows.push_back(Slice("slide by one", pool, y, 1, 32));
+  windows.push_back(Slice("slide by five", pool, y, 6, 37));
+  windows.push_back(Slice("same window", pool, y, 6, 37));
+  windows.push_back(Slice("slide by one, grow by two", pool, y, 7, 40));
+  windows.push_back(Slice("middle row changed", pool, y, 7, 40));
+  for (size_t c = 0; c < pool.cols(); ++c) {
+    windows.back().x.At(16, c) = rng.Uniform();
+  }
+  // The changed window's first 20 rows: all kept, none new.
+  windows.push_back(Slice("shrink", windows.back().x, windows.back().y, 0, 20));
+  windows.push_back(Slice("shrink from the front", pool, y, 11, 27));
+  windows.push_back(Slice("nothing shared", pool, y, 100, 130));
+  // Rows A B A C D, then A C D E: the first row matches at shifts 0 and 2,
+  // and only shift 2 carries on.
+  windows.push_back(Pick("duplicate rows", pool, y, {150, 151, 150, 152, 153}));
+  windows.push_back(
+      Pick("ambiguous first-row match", pool, y, {150, 152, 153, 154}));
+  // A change of d, then the BO tuners' shape: 65 knobs, growing into the
+  // 120-row window and sliding by one.
+  windows.push_back(Slice("change of d", wide, wide_y, 0, 119));
+  windows.push_back(Slice("grow to the full window", wide, wide_y, 0, 120));
+  windows.push_back(Slice("full window, slide by one", wide, wide_y, 1, 121));
+  windows.push_back(Slice("full window, slide again", wide, wide_y, 2, 122));
+
+  GaussianProcess gp;
+  for (const Window& w : windows) {
+    SCOPED_TRACE(w.what);
+    ASSERT_TRUE(gp.Fit(w.x, w.y));
+    GaussianProcess fresh;
+    ASSERT_TRUE(fresh.Fit(w.x, w.y));
+    // Even rows far from the data, odd rows near a training point.
+    linalg::Matrix q(21, w.x.cols());
+    for (size_t r = 0; r < q.rows(); ++r) {
+      for (size_t c = 0; c < q.cols(); ++c) {
+        q.At(r, c) = r % 2 == 0 ? rng.Uniform()
+                                : w.x.At(r % w.x.rows(), c) +
+                                      rng.Uniform(-0.05, 0.05);
+      }
+    }
+    const double best = *std::max_element(w.y.begin(), w.y.end());
+    EXPECT_EQ(BatchOutputDigest(gp, q, best),
+              BatchOutputDigest(fresh, q, best));
+  }
 }
 
 // The batch outputs are pinned as golden data; ref::SeedGp

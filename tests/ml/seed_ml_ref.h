@@ -249,9 +249,9 @@ class SeedGp {
       fitted_ = false;
       return false;
     }
-    std::vector<double> centered(n);
-    for (size_t i = 0; i < n; ++i) centered[i] = y[i] - y_mean_;
-    alpha_ = hunter::linalg::CholeskySolve(chol_, centered);
+    alpha_.resize(n);
+    for (size_t i = 0; i < n; ++i) alpha_[i] = y[i] - y_mean_;
+    hunter::linalg::CholeskySolve(chol_, &alpha_);
     fitted_ = true;
     return true;
   }
@@ -271,7 +271,8 @@ class SeedGp {
     for (size_t i = 0; i < n; ++i) mean += k_star[i] * alpha_[i];
     prediction.mean = mean;
 
-    const std::vector<double> v = hunter::linalg::CholeskySolve(chol_, k_star);
+    std::vector<double> v = k_star;
+    hunter::linalg::CholeskySolve(chol_, &v);
     double reduction = 0.0;
     for (size_t i = 0; i < n; ++i) reduction += k_star[i] * v[i];
     prediction.variance = std::max(0.0, Kernel(x, x) - reduction);

@@ -24,10 +24,11 @@
 #      ASAN_OPTIONS=detect_leaks=1 so leaks fail at exit
 #   8. the whole tier-1 suite under UBSan (HUNTER_SANITIZE=undefined builds
 #      with -fno-sanitize-recover=all, so any undefined behaviour aborts
-#      its test), built without NDEBUG: every other build here defines it,
-#      so this is the stage where the assert()s in src/ run. Its
-#      RelWithDebInfo flags are given as "-O2 -g", which the root
-#      CMakeLists turns into "-O3 -g", so the build stays optimized
+#      its test), as a Debug build: -O0 without NDEBUG. Every other build
+#      here is optimized and defines NDEBUG, so this is the stage where the
+#      assert()s in src/ run, and where the scalar kernels run with the
+#      operand orders GCC picks unoptimized, which the SIMD bit-identity
+#      tests must survive too (linalg/simd/simd.h rule 3)
 #
 # Run from anywhere: paths are resolved relative to the repo root. Build
 # trees land in build-check/, build-check-tsan/, build-check-asan/ and
@@ -66,6 +67,12 @@ for gate in \
     ForestParallelTest.BootstrapViewWithDuplicatesFits \
     GpTest.WindowGrowthMatchesSeedGp GpTest.BatchOutputsMatchGoldenDigest \
     GpTest.ExpectedImprovementBatchMatchesSeedGp \
+    GpTest.RefitOnSlidWindowMatchesFreshFit \
+    GpTest.RefitSequenceMatchesFreshFits \
+    SimdCholeskyTest.LanesMatchRowOrderLoopBitForBit \
+    SimdCholeskyTest.RejectsNonSpdAtTheSamePivot \
+    SimdCholeskyTest.SpecialValuesBitIdentical \
+    SimdSolveTest.ForwardSubstituteLanesSpecialValuesBitIdentical \
     DdpgTest.TrainingMatchesGoldenDigest MlpTest.TrainingMatchesGoldenDigest \
     StatsHelpersTest.CovarianceMatchesNaiveTripleLoop \
     EigenTest.QlMatchesJacobiOnRandomSymmetricMatrices \
@@ -116,9 +123,9 @@ cmake --build build-check-asan -j "$JOBS"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-check-asan --output-on-failure -j "$JOBS"
 
-echo "== [8/8] UBSan tier-1 tests, assertions on =="
+echo "== [8/8] UBSan tier-1 tests, Debug (-O0, assertions on) =="
 cmake -B build-check-ubsan -S . -DHUNTER_SANITIZE=undefined \
-  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
+  -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-check-ubsan -j "$JOBS"
 ctest --test-dir build-check-ubsan --output-on-failure -j "$JOBS"
 
