@@ -9,7 +9,6 @@
 #include "tuners/ottertune.h"
 #include "tuners/qtune.h"
 #include "tuners/random_tuner.h"
-#include "tuners/restune.h"
 #include "workload/workloads.h"
 
 namespace hunter::bench {
@@ -109,12 +108,6 @@ std::unique_ptr<tuners::Tuner> MakeTuner(const std::string& name,
     return std::make_unique<tuners::QTuneTuner>(
         cdb::kNumMetrics, dim, scenario.workload, tuners::CdbTuneOptions{},
         seed);
-  }
-  if (name == "ResTune") {
-    auto tuner = std::make_unique<tuners::ResTuneTuner>(
-        dim, tuners::OtterTuneOptions{}, seed);
-    tuner->SetWorkloadFeatures(tuners::WorkloadFeatures(scenario.workload));
-    return tuner;
   }
   return std::make_unique<tuners::RandomTuner>(dim, seed);
 }

@@ -39,8 +39,8 @@ std::unique_ptr<controller::Controller> MakeController(const Scenario& scenario,
                                                        uint64_t seed);
 
 // Tuner by the paper's name: "HUNTER", "BestConfig", "OtterTune",
-// "CDBTune", "QTune", "ResTune", "Random", "GA" (Sample-Factory-only
-// HUNTER, used by the motivation figures).
+// "CDBTune", "QTune", "Random", "GA" (Sample-Factory-only HUNTER, used by
+// the motivation figures).
 std::unique_ptr<tuners::Tuner> MakeTuner(const std::string& name,
                                          const Scenario& scenario,
                                          uint64_t seed);

@@ -118,9 +118,9 @@ void RandomTrainingPool(size_t rows, uint64_t seed, linalg::Matrix* x,
 }
 
 // One OtterTune refit at the full window, n = 120, d = 65. `window:fresh`
-// is a first fit (a new GP each time, as for a run's first fit and for
-// ResTune's historical models); `window:slid` refits one GP on a window
-// that slides by one observation per iteration, as Observe does.
+// is a first fit (a new GP each time, as for a run's first fit);
+// `window:slid` refits one GP on a window that slides by one observation
+// per iteration, as Observe does.
 void BM_GpFit(benchmark::State& state, bool slid) {
   const size_t n = 120;
   const size_t slides = slid ? 1000 : 0;

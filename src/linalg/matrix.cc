@@ -117,7 +117,7 @@ std::vector<double> Matrix::MultiplyVector(const std::vector<double>& v) const {
 }
 
 void Matrix::ScaleInPlace(double factor) {
-  simd::ScaleInto(data_.data(), factor, data_.data(), data_.size());
+  for (double& v : data_) v *= factor;
 }
 
 std::vector<double> ColumnMeans(const Matrix& data) {
@@ -138,11 +138,23 @@ std::vector<double> ColumnStdDevs(const Matrix& data) {
   if (data.rows() < 2) return stds;
   const std::vector<double> means = ColumnMeans(data);
   for (size_t r = 0; r < data.rows(); ++r) {
-    simd::AccumSquaredCentered(data.Data() + r * data.cols(), means.data(),
-                               stds.data(), data.cols());
+    const double* row = data.Data() + r * data.cols();
+    for (size_t c = 0; c < data.cols(); ++c) {
+      const double d = row[c] - means[c];
+      stds[c] += d * d;
+    }
   }
   for (double& s : stds) s = std::sqrt(s / static_cast<double>(data.rows() - 1));
   return stds;
+}
+
+void StandardizeRow(const double* x, const double* means, const double* stds,
+                    bool unit_variance, double* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    double value = x[i] - means[i];
+    if (unit_variance && stds[i] > 1e-12) value /= stds[i];
+    out[i] = value;
+  }
 }
 
 Matrix Standardize(const Matrix& data, bool unit_variance) {
@@ -150,9 +162,9 @@ Matrix Standardize(const Matrix& data, bool unit_variance) {
   const std::vector<double> stds = ColumnStdDevs(data);
   Matrix result(data.rows(), data.cols());
   for (size_t r = 0; r < data.rows(); ++r) {
-    simd::StandardizeInto(data.Data() + r * data.cols(), means.data(),
-                          stds.data(), unit_variance,
-                          result.Data() + r * data.cols(), data.cols());
+    StandardizeRow(data.Data() + r * data.cols(), means.data(), stds.data(),
+                   unit_variance, result.Data() + r * data.cols(),
+                   data.cols());
   }
   return result;
 }
@@ -165,8 +177,7 @@ Matrix Covariance(const Matrix& data) {
   const std::vector<double> means = ColumnMeans(data);
   Matrix centered(n, d);
   for (size_t r = 0; r < n; ++r) {
-    simd::SubInto(data.Data() + r * d, means.data(), centered.Data() + r * d,
-                  d);
+    for (size_t c = 0; c < d; ++c) centered.At(r, c) = data.At(r, c) - means[c];
   }
   centered.TransposedMultiplyInto(centered, &cov);
   cov.ScaleInPlace(1.0 / static_cast<double>(n - 1));

@@ -125,6 +125,12 @@ std::vector<double> ColumnStdDevs(const Matrix& data);
 // Columns with zero variance are centered only.
 Matrix Standardize(const Matrix& data, bool unit_variance);
 
+// One row of Standardize, given the columns' means and stds (Pca::Transform
+// applies a fitted transform with it): out[i] = x[i] - means[i], divided by
+// stds[i] when unit_variance and stds[i] > 1e-12.
+void StandardizeRow(const double* x, const double* means, const double* stds,
+                    bool unit_variance, double* out, size_t n);
+
 // Sample covariance matrix (rows are observations), computed as a centered
 // X^T X GEMM.
 Matrix Covariance(const Matrix& data);

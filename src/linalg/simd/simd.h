@@ -1,8 +1,15 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
-// paths: the GEMM micro-kernels, the elementwise Matrix ops, the GP
-// squared-distance expansion, many-right-hand-side forward substitution and
-// the Cholesky factorization, PCA centering/standardization, and the MLP
-// activation / gradient / Adam loops.
+// paths, ten kernels:
+//   - the three GEMM micro-kernels behind linalg::GemmInto, GemmBiasInto and
+//     GemmTransposedAInto (MLP batches, covariance, GP Gram rows);
+//   - AddInto (ColumnMeans' sums, the MLP's bias gradients) and the MLP's
+//     ReluInto, ReluGradMulInto and AdamUpdateInPlace;
+//   - the GP's SquaredDistInto, ForwardSubstituteLanes (batched posterior
+//     variance) and CholeskyLanes (the refit's factorization).
+// Elementwise loops that see little traffic (the PCA centering and
+// standardization, the tanh backward, DDPG's 20-wide action squash and
+// clip) are plain loops at their call sites; DESIGN.md §14 has the
+// measured traffic and the rule for which loops get a lane.
 //
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
@@ -43,12 +50,10 @@
 //
 // Predicated scalar constructs map to exact vector equivalents:
 // `x > 0 ? x : 0` is vmaxpd(x, 0) (maxpd returns the second operand on NaN
-// and on ±0 ties, matching the false branch); conditional divides blend the
-// divisor (dividing by 1.0 is the identity); std::clamp is reproduced with
-// compare+blend in the same test order rather than min/max so NaN inputs
-// take the scalar path's value. Transcendentals (exp, tanh) never vectorize
-// — libm's polynomials are not reproducible lane-wise — so callers split
-// their loops: the algebraic part runs here, the libm call stays scalar.
+// and on ±0 ties, matching the false branch), and `p > 0 ? 1 : 0` is a
+// compare+blend. Transcendentals (exp, tanh) never vectorize — libm's
+// polynomials are not reproducible lane-wise — so callers split their
+// loops: the GP's squared distances run here, its exp() stays scalar.
 //
 // Raw intrinsics are permitted only in this directory (hunterlint rule
 // no-raw-intrinsics-outside-simd).
@@ -141,21 +146,14 @@ inline void GemmTransposedAInto(const double* a, size_t k, size_t m,
 
 // ---------------------------------------------------------------------------
 // Elementwise kernels. All of them write out[i] from position i of their
-// inputs only, so exact aliasing (out == x or out == y) is permitted — the
-// in-place Matrix ops rely on it. Partial overlap is not.
+// inputs only, so exact aliasing (out == x or out == y) is permitted —
+// ColumnMeans and the MLP bias gradient accumulate in place through
+// AddInto. Partial overlap is not.
 // ---------------------------------------------------------------------------
 
 // out[i] = x[i] + y[i]
 void AddIntoScalar(const double* x, const double* y, double* out, size_t n);
 void AddIntoAvx2(const double* x, const double* y, double* out, size_t n);
-
-// out[i] = x[i] - y[i]
-void SubIntoScalar(const double* x, const double* y, double* out, size_t n);
-void SubIntoAvx2(const double* x, const double* y, double* out, size_t n);
-
-// out[i] = x[i] * factor
-void ScaleIntoScalar(const double* x, double factor, double* out, size_t n);
-void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n);
 
 // One Adam step over a parameter span, replicating the Mlp update
 // expression by expression:
@@ -183,28 +181,6 @@ void ReluIntoAvx2(const double* x, double* out, size_t n);
 void ReluGradMulIntoScalar(const double* g, const double* pre, double* out,
                            size_t n);
 void ReluGradMulIntoAvx2(const double* g, const double* pre, double* out,
-                         size_t n);
-
-// out[i] = g[i] * (1 - post[i] * post[i])   (tanh backward)
-void TanhGradMulIntoScalar(const double* g, const double* post, double* out,
-                           size_t n);
-void TanhGradMulIntoAvx2(const double* g, const double* post, double* out,
-                         size_t n);
-
-// acc[i] += d * d with d = x[i] - means[i]   (column variance pass)
-void AccumSquaredCenteredScalar(const double* x, const double* means,
-                                double* acc, size_t n);
-void AccumSquaredCenteredAvx2(const double* x, const double* means,
-                              double* acc, size_t n);
-
-// out[i] = x[i] - means[i], divided by stds[i] when unit_variance and
-// stds[i] > 1e-12 (the conditional divide becomes a blend of the divisor
-// with 1.0 — dividing by 1.0 is exact).
-void StandardizeIntoScalar(const double* x, const double* means,
-                           const double* stds, bool unit_variance,
-                           double* out, size_t n);
-void StandardizeIntoAvx2(const double* x, const double* means,
-                         const double* stds, bool unit_variance, double* out,
                          size_t n);
 
 // out[i] = max(0, (norm_a + norms_b[i]) - 2 * dots[i]) — the squared-
@@ -257,35 +233,11 @@ void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
 size_t CholeskyLanesScalar(const double* a, size_t n, double* l);
 size_t CholeskyLanesAvx2(const double* a, size_t n, double* l);
 
-// out[i] = clamp(0.5 * (x[i] + 1.0), 0, 1) — DDPG's tanh-to-unit-range
-// action squash. Reproduces std::clamp's test order with compare+blend
-// (v < lo first, then hi < v) so every input, NaN included, takes the
-// scalar path's value.
-void ClampUnitFromTanhIntoScalar(const double* x, double* out, size_t n);
-void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n);
-
-// out[i] = clamp(factor * x[i], -clip, clip) — DDPG's action-gradient
-// scale + clip. `clip` must be > 0 (the no-clip case is ScaleInto).
-void ScaleClampIntoScalar(const double* x, double factor, double clip,
-                          double* out, size_t n);
-void ScaleClampIntoAvx2(const double* x, double factor, double clip,
-                        double* out, size_t n);
-
 // Dispatching wrappers for the elementwise kernels.
 
 inline void AddInto(const double* x, const double* y, double* out, size_t n) {
   if (DispatchAvx2()) AddIntoAvx2(x, y, out, n);
   else AddIntoScalar(x, y, out, n);
-}
-
-inline void SubInto(const double* x, const double* y, double* out, size_t n) {
-  if (DispatchAvx2()) SubIntoAvx2(x, y, out, n);
-  else SubIntoScalar(x, y, out, n);
-}
-
-inline void ScaleInto(const double* x, double factor, double* out, size_t n) {
-  if (DispatchAvx2()) ScaleIntoAvx2(x, factor, out, n);
-  else ScaleIntoScalar(x, factor, out, n);
 }
 
 inline void AdamUpdateInPlace(double* p, const double* grads, double* m,
@@ -312,28 +264,6 @@ inline void ReluGradMulInto(const double* g, const double* pre, double* out,
   else ReluGradMulIntoScalar(g, pre, out, n);
 }
 
-inline void TanhGradMulInto(const double* g, const double* post, double* out,
-                            size_t n) {
-  if (DispatchAvx2()) TanhGradMulIntoAvx2(g, post, out, n);
-  else TanhGradMulIntoScalar(g, post, out, n);
-}
-
-inline void AccumSquaredCentered(const double* x, const double* means,
-                                 double* acc, size_t n) {
-  if (DispatchAvx2()) AccumSquaredCenteredAvx2(x, means, acc, n);
-  else AccumSquaredCenteredScalar(x, means, acc, n);
-}
-
-inline void StandardizeInto(const double* x, const double* means,
-                            const double* stds, bool unit_variance,
-                            double* out, size_t n) {
-  if (DispatchAvx2()) {
-    StandardizeIntoAvx2(x, means, stds, unit_variance, out, n);
-  } else {
-    StandardizeIntoScalar(x, means, stds, unit_variance, out, n);
-  }
-}
-
 inline void SquaredDistInto(double norm_a, const double* norms_b,
                             const double* dots, double* out, size_t n) {
   if (DispatchAvx2()) SquaredDistIntoAvx2(norm_a, norms_b, dots, out, n);
@@ -349,17 +279,6 @@ inline void ForwardSubstituteLanes(const double* l, size_t n, double* bw,
 inline size_t CholeskyLanes(const double* a, size_t n, double* l) {
   if (DispatchAvx2()) return CholeskyLanesAvx2(a, n, l);
   return CholeskyLanesScalar(a, n, l);
-}
-
-inline void ClampUnitFromTanhInto(const double* x, double* out, size_t n) {
-  if (DispatchAvx2()) ClampUnitFromTanhIntoAvx2(x, out, n);
-  else ClampUnitFromTanhIntoScalar(x, out, n);
-}
-
-inline void ScaleClampInto(const double* x, double factor, double clip,
-                           double* out, size_t n) {
-  if (DispatchAvx2()) ScaleClampIntoAvx2(x, factor, clip, out, n);
-  else ScaleClampIntoScalar(x, factor, clip, out, n);
 }
 
 }  // namespace hunter::linalg::simd

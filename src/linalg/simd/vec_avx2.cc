@@ -7,8 +7,8 @@
 // expression: vaddpd/vsubpd/vmulpd/vdivpd/vsqrtpd are correctly rounded per
 // lane, multiply+add pairs stay unfused (-ffp-contract=off), vmaxpd's
 // second-operand tie/NaN rule is matched to the ternaries it replaces, and
-// conditionals become compare+blend in the same test order as the scalar
-// code. See simd.h for the per-kernel arguments.
+// the ReLU gate is a compare+blend. See simd.h for the per-kernel
+// arguments.
 
 #include "linalg/simd/simd.h"
 
@@ -42,24 +42,6 @@ void AddIntoAvx2(const double* x, const double* y, double* out, size_t n) {
                                             _mm256_loadu_pd(y + i)));
   }
   for (; i < n; ++i) out[i] = x[i] + y[i];
-}
-
-void SubIntoAvx2(const double* x, const double* y, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_sub_pd(_mm256_loadu_pd(x + i),
-                                            _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] - y[i];
-}
-
-void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
-  const __m256d f = _mm256_set1_pd(factor);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), f));
-  }
-  for (; i < n; ++i) out[i] = x[i] * factor;
 }
 
 void AdamUpdateInPlaceAvx2(double* p, const double* grads, double* m,
@@ -129,64 +111,6 @@ void ReluGradMulIntoAvx2(const double* g, const double* pre, double* out,
     _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), gate));
   }
   for (; i < n; ++i) out[i] = g[i] * (pre[i] > 0.0 ? 1.0 : 0.0);
-}
-
-void TanhGradMulIntoAvx2(const double* g, const double* post, double* out,
-                         size_t n) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d pv = _mm256_loadu_pd(post + i);
-    const __m256d grad = _mm256_sub_pd(one, _mm256_mul_pd(pv, pv));
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(g + i), grad));
-  }
-  for (; i < n; ++i) out[i] = g[i] * (1.0 - post[i] * post[i]);
-}
-
-void AccumSquaredCenteredAvx2(const double* x, const double* means,
-                              double* acc, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(x + i),
-                                    _mm256_loadu_pd(means + i));
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                                            _mm256_mul_pd(d, d)));
-  }
-  for (; i < n; ++i) {
-    const double d = x[i] - means[i];
-    acc[i] += d * d;
-  }
-}
-
-void StandardizeIntoAvx2(const double* x, const double* means,
-                         const double* stds, bool unit_variance, double* out,
-                         size_t n) {
-  const __m256d eps = _mm256_set1_pd(1e-12);
-  const __m256d one = _mm256_set1_pd(1.0);
-  size_t i = 0;
-  if (unit_variance) {
-    for (; i + 4 <= n; i += 4) {
-      const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(x + i),
-                                      _mm256_loadu_pd(means + i));
-      // Divisor blends to 1.0 where stds <= 1e-12 (or NaN): dividing by
-      // 1.0 is exact, so the guarded lanes pass through untouched just as
-      // the scalar `if` skips the divide.
-      const __m256d sv = _mm256_loadu_pd(stds + i);
-      const __m256d mask = _mm256_cmp_pd(sv, eps, _CMP_GT_OQ);
-      const __m256d divisor = _mm256_blendv_pd(one, sv, mask);
-      _mm256_storeu_pd(out + i, _mm256_div_pd(d, divisor));
-    }
-  } else {
-    for (; i + 4 <= n; i += 4) {
-      _mm256_storeu_pd(out + i, _mm256_sub_pd(_mm256_loadu_pd(x + i),
-                                              _mm256_loadu_pd(means + i)));
-    }
-  }
-  for (; i < n; ++i) {
-    double value = x[i] - means[i];
-    if (unit_variance && stds[i] > 1e-12) value /= stds[i];
-    out[i] = value;
-  }
 }
 
 void SquaredDistIntoAvx2(double norm_a, const double* norms_b,
@@ -336,48 +260,6 @@ size_t CholeskyLanesAvx2(const double* a, size_t n, double* l) {
   return n;
 }
 
-void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v =
-        _mm256_mul_pd(half, _mm256_add_pd(_mm256_loadu_pd(x + i), one));
-    // std::clamp test order: v < lo first, then hi < v; NaN fails both
-    // compares and passes through, as in the scalar expression.
-    const __m256d lo_mask = _mm256_cmp_pd(v, zero, _CMP_LT_OQ);
-    const __m256d hi_mask = _mm256_cmp_pd(one, v, _CMP_LT_OQ);
-    __m256d r = _mm256_blendv_pd(v, one, hi_mask);
-    r = _mm256_blendv_pd(r, zero, lo_mask);
-    _mm256_storeu_pd(out + i, r);
-  }
-  for (; i < n; ++i) {
-    const double v = 0.5 * (x[i] + 1.0);
-    out[i] = v < 0.0 ? 0.0 : (1.0 < v ? 1.0 : v);
-  }
-}
-
-void ScaleClampIntoAvx2(const double* x, double factor, double clip,
-                        double* out, size_t n) {
-  const __m256d f = _mm256_set1_pd(factor);
-  const __m256d hi = _mm256_set1_pd(clip);
-  const __m256d lo = _mm256_set1_pd(-clip);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_mul_pd(_mm256_loadu_pd(x + i), f);
-    const __m256d lo_mask = _mm256_cmp_pd(v, lo, _CMP_LT_OQ);
-    const __m256d hi_mask = _mm256_cmp_pd(hi, v, _CMP_LT_OQ);
-    __m256d r = _mm256_blendv_pd(v, hi, hi_mask);
-    r = _mm256_blendv_pd(r, lo, lo_mask);
-    _mm256_storeu_pd(out + i, r);
-  }
-  for (; i < n; ++i) {
-    const double v = x[i] * factor;
-    out[i] = v < -clip ? -clip : (clip < v ? clip : v);
-  }
-}
-
 }  // namespace hunter::linalg::simd
 
 #else  // !(__x86_64__ && __AVX2__)
@@ -388,12 +270,6 @@ const bool kHasAvx2Kernels = false;
 
 void AddIntoAvx2(const double* x, const double* y, double* out, size_t n) {
   AddIntoScalar(x, y, out, n);
-}
-void SubIntoAvx2(const double* x, const double* y, double* out, size_t n) {
-  SubIntoScalar(x, y, out, n);
-}
-void ScaleIntoAvx2(const double* x, double factor, double* out, size_t n) {
-  ScaleIntoScalar(x, factor, out, n);
 }
 void AdamUpdateInPlaceAvx2(double* p, const double* grads, double* m,
                            double* v, size_t n, double scale, double lr,
@@ -409,19 +285,6 @@ void ReluGradMulIntoAvx2(const double* g, const double* pre, double* out,
                          size_t n) {
   ReluGradMulIntoScalar(g, pre, out, n);
 }
-void TanhGradMulIntoAvx2(const double* g, const double* post, double* out,
-                         size_t n) {
-  TanhGradMulIntoScalar(g, post, out, n);
-}
-void AccumSquaredCenteredAvx2(const double* x, const double* means,
-                              double* acc, size_t n) {
-  AccumSquaredCenteredScalar(x, means, acc, n);
-}
-void StandardizeIntoAvx2(const double* x, const double* means,
-                         const double* stds, bool unit_variance, double* out,
-                         size_t n) {
-  StandardizeIntoScalar(x, means, stds, unit_variance, out, n);
-}
 void SquaredDistIntoAvx2(double norm_a, const double* norms_b,
                          const double* dots, double* out, size_t n) {
   SquaredDistIntoScalar(norm_a, norms_b, dots, out, n);
@@ -432,13 +295,6 @@ void ForwardSubstituteLanesAvx2(const double* l, size_t n, double* bw,
 }
 size_t CholeskyLanesAvx2(const double* a, size_t n, double* l) {
   return CholeskyLanesScalar(a, n, l);
-}
-void ClampUnitFromTanhIntoAvx2(const double* x, double* out, size_t n) {
-  ClampUnitFromTanhIntoScalar(x, out, n);
-}
-void ScaleClampIntoAvx2(const double* x, double factor, double clip,
-                        double* out, size_t n) {
-  ScaleClampIntoScalar(x, factor, clip, out, n);
 }
 
 }  // namespace hunter::linalg::simd

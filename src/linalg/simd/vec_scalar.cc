@@ -15,14 +15,6 @@ void AddIntoScalar(const double* x, const double* y, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] + y[i];
 }
 
-void SubIntoScalar(const double* x, const double* y, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = x[i] - y[i];
-}
-
-void ScaleIntoScalar(const double* x, double factor, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = x[i] * factor;
-}
-
 void AdamUpdateInPlaceScalar(double* p, const double* grads, double* m,
                              double* v, size_t n, double scale, double lr,
                              double beta1, double beta2, double bias1,
@@ -47,31 +39,6 @@ void ReluGradMulIntoScalar(const double* g, const double* pre, double* out,
                            size_t n) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = g[i] * (pre[i] > 0.0 ? 1.0 : 0.0);
-  }
-}
-
-void TanhGradMulIntoScalar(const double* g, const double* post, double* out,
-                           size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = g[i] * (1.0 - post[i] * post[i]);
-  }
-}
-
-void AccumSquaredCenteredScalar(const double* x, const double* means,
-                                double* acc, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double d = x[i] - means[i];
-    acc[i] += d * d;
-  }
-}
-
-void StandardizeIntoScalar(const double* x, const double* means,
-                           const double* stds, bool unit_variance,
-                           double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    double value = x[i] - means[i];
-    if (unit_variance && stds[i] > 1e-12) value /= stds[i];
-    out[i] = value;
   }
 }
 
@@ -121,21 +88,6 @@ size_t CholeskyLanesScalar(const double* a, size_t n, double* l) {
     std::fill(li + i + 1, li + n, 0.0);
   }
   return n;
-}
-
-void ClampUnitFromTanhIntoScalar(const double* x, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double v = 0.5 * (x[i] + 1.0);
-    out[i] = v < 0.0 ? 0.0 : (1.0 < v ? 1.0 : v);
-  }
-}
-
-void ScaleClampIntoScalar(const double* x, double factor, double clip,
-                          double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double v = x[i] * factor;
-    out[i] = v < -clip ? -clip : (clip < v ? clip : v);
-  }
 }
 
 }  // namespace hunter::linalg::simd

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "linalg/simd/simd.h"
-
 namespace hunter::ml {
 
 namespace {
@@ -28,12 +26,13 @@ std::vector<double> Concat(const std::vector<double>& a,
   return merged;
 }
 
-// Maps tanh output in [-1,1] to the normalized knob space [0,1].
-std::vector<double> TanhToUnit(const std::vector<double>& tanh_out) {
-  std::vector<double> unit(tanh_out.size());
-  linalg::simd::ClampUnitFromTanhInto(tanh_out.data(), unit.data(),
-                                      unit.size());
-  return unit;
+// Maps tanh output in [-1,1] to the normalized knob space [0,1]. out may
+// equal x.
+void TanhToUnitInto(const double* x, double* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const double v = 0.5 * (x[i] + 1.0);
+    out[i] = v < 0.0 ? 0.0 : (1.0 < v ? 1.0 : v);
+  }
 }
 
 }  // namespace
@@ -55,7 +54,9 @@ Ddpg::Ddpg(const DdpgOptions& options, common::Rng* rng)
 
 std::vector<double> Ddpg::Act(const std::vector<double>& state) const {
   assert(state.size() == options_.state_dim);
-  return TanhToUnit(actor_.Predict(state));
+  std::vector<double> action = actor_.Predict(state);
+  TanhToUnitInto(action.data(), action.data(), action.size());
+  return action;
 }
 
 void Ddpg::AddTransition(Transition transition) {
@@ -103,9 +104,8 @@ double Ddpg::TrainStep() {
   actor_.ZeroGradients();
   actor_.ForwardBatch(b_states_, &b_tanh_);
   for (size_t r = 0; r < batch; ++r) {
-    linalg::simd::ClampUnitFromTanhInto(
-        b_tanh_.Data() + r * a_dim,
-        b_sa_.Data() + r * (s_dim + a_dim) + s_dim, a_dim);
+    TanhToUnitInto(b_tanh_.Data() + r * a_dim,
+                   b_sa_.Data() + r * (s_dim + a_dim) + s_dim, a_dim);
   }
   critic_.ForwardBatch(b_sa_, &b_q_);
   b_grad_q_.Reshape(batch, 1);
@@ -116,12 +116,16 @@ double Ddpg::TrainStep() {
   critic_.BackwardBatch(b_grad_q_, &b_grad_sa_,
                         /*accumulate_param_grads=*/false);
   b_grad_action_.Reshape(batch, a_dim);
+  const double clip = options_.grad_clip;
   for (size_t r = 0; r < batch; ++r) {
     // Chain through the [-1,1] -> [0,1] affine map (factor 0.5), clipped to
     // [-grad_clip, grad_clip].
-    linalg::simd::ScaleClampInto(
-        b_grad_sa_.Data() + r * (s_dim + a_dim) + s_dim, 0.5,
-        options_.grad_clip, b_grad_action_.Data() + r * a_dim, a_dim);
+    const double* grad_a = b_grad_sa_.Data() + r * (s_dim + a_dim) + s_dim;
+    double* out = b_grad_action_.Data() + r * a_dim;
+    for (size_t i = 0; i < a_dim; ++i) {
+      const double v = grad_a[i] * 0.5;
+      out[i] = v < -clip ? -clip : (clip < v ? clip : v);
+    }
   }
   actor_.BackwardBatch(b_grad_action_, nullptr);
   actor_.AdamStep(options_.actor_lr, batch);

@@ -1,7 +1,6 @@
 // Gaussian-process regression with a squared-exponential kernel plus the
 // Expected-Improvement acquisition, implementing the surrogate model used by
-// the OtterTune / iTuned line of work (§1 "Current Landscape") and by the
-// ResTune-style meta-learning baseline.
+// the OtterTune / iTuned line of work (§1 "Current Landscape").
 //
 // The GP sits inside the BO tuners' inner loop (one refit per Observe, one
 // acquisition evaluation per candidate per Propose), so the hot paths follow

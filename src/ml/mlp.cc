@@ -135,7 +135,9 @@ void Mlp::BackwardBatch(const linalg::Matrix& grad_output,
           linalg::simd::ReluGradMulInto(g, pre, delta, count);
           break;
         case Activation::kTanh:
-          linalg::simd::TanhGradMulInto(g, post, delta, count);
+          for (size_t idx = 0; idx < count; ++idx) {
+            delta[idx] = g[idx] * (1.0 - post[idx] * post[idx]);
+          }
           break;
         case Activation::kLinear:
           std::copy(g, g + count, delta);

@@ -1,9 +1,8 @@
 #include "ml/pca.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-
-#include "linalg/simd/simd.h"
 
 namespace hunter::ml {
 
@@ -55,8 +54,8 @@ std::vector<double> Pca::Transform(const std::vector<double>& row,
   assert(row.size() == means_.size());
   k = std::min(k, components_.cols());
   std::vector<double> centered(row.size());
-  linalg::simd::StandardizeInto(row.data(), means_.data(), stds_.data(),
-                                standardize_, centered.data(), row.size());
+  linalg::StandardizeRow(row.data(), means_.data(), stds_.data(),
+                         standardize_, centered.data(), row.size());
   std::vector<double> projected(k, 0.0);
   for (size_t c = 0; c < k; ++c) {
     double sum = 0.0;
@@ -66,33 +65,6 @@ std::vector<double> Pca::Transform(const std::vector<double>& row,
     projected[c] = sum;
   }
   return projected;
-}
-
-// hunterlint: hot
-linalg::Matrix Pca::TransformMatrix(const linalg::Matrix& data,
-                                    size_t k) const {
-  assert(fitted_);
-  k = std::min(k, components_.cols());
-  const size_t dim = means_.size();
-  assert(data.cols() == dim);
-  // One GEMM over the centered batch instead of a per-row Transform loop;
-  // the contraction order matches Transform's dot products, so the results
-  // are bit-identical (see linalg/matrix.h).
-  linalg::Matrix centered(data.rows(), dim);
-  for (size_t r = 0; r < data.rows(); ++r) {
-    linalg::simd::StandardizeInto(data.Data() + r * dim, means_.data(),
-                                  stds_.data(), standardize_,
-                                  centered.Data() + r * dim, dim);
-  }
-  linalg::Matrix top_components(dim, k);
-  for (size_t i = 0; i < dim; ++i) {
-    for (size_t c = 0; c < k; ++c) {
-      top_components.At(i, c) = components_.At(i, c);
-    }
-  }
-  linalg::Matrix result;
-  centered.MultiplyInto(top_components, &result);
-  return result;
 }
 
 std::vector<double> Pca::SaveState() const {

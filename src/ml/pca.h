@@ -36,9 +36,6 @@ class Pca {
   // Projects one observation onto the first `k` components.
   std::vector<double> Transform(const std::vector<double>& row, size_t k) const;
 
-  // Projects a whole matrix onto the first `k` components.
-  linalg::Matrix TransformMatrix(const linalg::Matrix& data, size_t k) const;
-
   size_t input_dim() const { return means_.size(); }
 
   // Flat serialization of the fitted transform (for model persistence):

@@ -31,26 +31,18 @@ std::vector<std::vector<double>> OtterTuneTuner::Propose(size_t count) {
       proposals.push_back(std::move(random));
       continue;
     }
-    // Maximize the acquisition over random + local candidates: draw the
-    // whole candidate set first (the exact RNG order of the former
-    // per-candidate loop), score it in one batch pass, then keep the first
-    // maximum (strictly-greater comparison, as before).
-    const size_t local = best_knobs_.empty() ? 0 : options_.local_candidates;
-    const size_t total = options_.candidates + local;
+    // Maximize the expected improvement over random candidates: draw the
+    // whole candidate set, score it in one GEMM-backed batch pass, then
+    // keep the first maximum (strictly-greater comparison).
+    const size_t total = options_.candidates;
     candidate_matrix_.Reshape(total, dim_);
-    for (size_t c = 0; c < options_.candidates; ++c) {
+    for (size_t c = 0; c < total; ++c) {
       for (size_t d = 0; d < dim_; ++d) {
         candidate_matrix_.At(c, d) = rng_.Uniform();
       }
     }
-    for (size_t c = 0; c < local; ++c) {
-      for (size_t d = 0; d < dim_; ++d) {
-        candidate_matrix_.At(options_.candidates + c, d) = std::clamp(
-            best_knobs_[d] + rng_.Gaussian(0.0, options_.local_sigma), 0.0,
-            1.0);
-      }
-    }
-    AcquisitionBatch(candidate_matrix_, &candidate_scores_);
+    gp_.ExpectedImprovementBatch(candidate_matrix_, best_fitness_,
+                                 &candidate_scores_);
     std::vector<double> best_candidate(dim_, 0.5);
     double best_score = -std::numeric_limits<double>::infinity();
     size_t best_index = total;
@@ -69,18 +61,12 @@ std::vector<std::vector<double>> OtterTuneTuner::Propose(size_t count) {
   return proposals;
 }
 
-void OtterTuneTuner::AcquisitionBatch(const linalg::Matrix& candidates,
-                                      std::vector<double>* scores) const {
-  gp_.ExpectedImprovementBatch(candidates, best_fitness_, scores);
-}
-
 void OtterTuneTuner::Observe(const std::vector<controller::Sample>& samples) {
   for (const controller::Sample& sample : samples) {
     observed_knobs_.push_back(sample.knobs);
     observed_fitness_.push_back(sample.fitness);
     if (!sample.boot_failed && sample.fitness > best_fitness_) {
       best_fitness_ = sample.fitness;
-      best_knobs_ = sample.knobs;
     }
   }
   RefitGp();
@@ -88,7 +74,7 @@ void OtterTuneTuner::Observe(const std::vector<controller::Sample>& samples) {
 
 void OtterTuneTuner::RefitGp() {
   if (observed_knobs_.empty()) return;
-  // Train on the most recent window (plus always the incumbent best).
+  // Train on the most recent window.
   const size_t n = std::min(options_.max_train_samples,
                             observed_knobs_.size());
   const size_t start = observed_knobs_.size() - n;

@@ -1,9 +1,9 @@
 // OtterTune-style Bayesian optimization (Van Aken et al., SIGMOD'17):
 // a Gaussian-process surrogate over (normalized knobs -> Equation-1 fitness)
-// with Expected-Improvement acquisition maximized over random + local
-// candidate sets. The real system also maps workloads against a repository
-// of past tunings; per the paper's §6.1 protocol every method starts with no
-// prior knowledge, so the mapping step is vacuous here and omitted.
+// with Expected-Improvement acquisition maximized over a random candidate
+// set. The real system also maps workloads against a repository of past
+// tunings; per the paper's §6.1 protocol every method starts with no prior
+// knowledge, so the mapping step is vacuous here and omitted.
 
 #ifndef HUNTER_TUNERS_OTTERTUNE_H_
 #define HUNTER_TUNERS_OTTERTUNE_H_
@@ -22,8 +22,6 @@ namespace hunter::tuners {
 struct OtterTuneOptions {
   size_t initial_samples = 30;   // LHS bootstrap before the GP takes over
   size_t candidates = 200;       // random EI candidates per proposal
-  size_t local_candidates = 0;   // optional perturbations of the incumbent
-  double local_sigma = 0.15;
   size_t max_train_samples = 120;  // GP training-set cap (keep refits fast)
   ml::GpOptions gp;
 };
@@ -36,13 +34,8 @@ class OtterTuneTuner : public Tuner {
   std::vector<std::vector<double>> Propose(size_t count) override;
   void Observe(const std::vector<controller::Sample>& samples) override;
 
- protected:
-  // Scores one candidate per row of `candidates` into `scores` (resized):
-  // the GP's expected improvement over the incumbent, the whole candidate
-  // set in one GEMM-backed pass. Propose scores candidates only through
-  // this; ResTune overrides it to blend in historical models.
-  virtual void AcquisitionBatch(const linalg::Matrix& candidates,
-                                std::vector<double>* scores) const;
+ private:
+  void RefitGp();
 
   size_t dim_;
   OtterTuneOptions options_;
@@ -50,12 +43,8 @@ class OtterTuneTuner : public Tuner {
   ml::GaussianProcess gp_;
   std::vector<std::vector<double>> observed_knobs_;
   std::vector<double> observed_fitness_;
-  std::vector<double> best_knobs_;
   double best_fitness_;
   std::vector<std::vector<double>> pending_initial_;
-
- private:
-  void RefitGp();
 
   // Candidate-scoring scratch, reused across Propose calls.
   linalg::Matrix candidate_matrix_;

@@ -1,6 +1,5 @@
-// Uniform random search and Latin-Hypercube search — the naive samplers the
-// paper contrasts GA against in Figure 5 (Random Sampling is also CDBTune's
-// cold-start sampler).
+// Uniform random search — the naive sampler the paper contrasts GA against
+// in Figure 5 (Random Sampling is also CDBTune's cold-start sampler).
 
 #ifndef HUNTER_TUNERS_RANDOM_TUNER_H_
 #define HUNTER_TUNERS_RANDOM_TUNER_H_
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ml/latin_hypercube.h"
 #include "tuners/tuner.h"
 
 namespace hunter::tuners {
@@ -34,34 +32,6 @@ class RandomTuner : public Tuner {
  private:
   size_t dim_;
   common::Rng rng_;
-};
-
-class LhsTuner : public Tuner {
- public:
-  LhsTuner(size_t dim, size_t block, uint64_t seed)
-      : dim_(dim), block_(block), rng_(seed) {}
-
-  std::string name() const override { return "LHS"; }
-
-  std::vector<std::vector<double>> Propose(size_t count) override {
-    std::vector<std::vector<double>> proposals;
-    while (proposals.size() < count) {
-      if (pending_.empty()) {
-        pending_ = ml::LatinHypercube(block_, dim_, &rng_);
-      }
-      proposals.push_back(pending_.back());
-      pending_.pop_back();
-    }
-    return proposals;
-  }
-
-  void Observe(const std::vector<controller::Sample>&) override {}
-
- private:
-  size_t dim_;
-  size_t block_;
-  common::Rng rng_;
-  std::vector<std::vector<double>> pending_;
 };
 
 }  // namespace hunter::tuners

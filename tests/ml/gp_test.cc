@@ -376,7 +376,7 @@ TEST(GpTest, WindowGrowthMatchesSeedGp) {
   }
 }
 
-// One OtterTune/ResTune proposal: EI over the whole candidate batch in one
+// One OtterTune proposal: EI over the whole candidate batch in one
 // call must match the seed GP scoring each candidate alone, to 1e-9.
 // Shapes: 20 candidates over a small window, and 200 candidates over a
 // full 120-sample window on the 65-knob catalog. Against the window's best

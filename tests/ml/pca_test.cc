@@ -1,5 +1,6 @@
 #include "ml/pca.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -8,6 +9,7 @@
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "tests/ml/bit_digest.h"
 
 namespace hunter::ml {
 namespace {
@@ -112,9 +114,40 @@ TEST(PcaTest, TransformReducesDimension) {
   pca.Fit(data);
   const auto projected = pca.Transform(data.Row(0), 4);
   EXPECT_EQ(projected.size(), 4u);
-  linalg::Matrix all = pca.TransformMatrix(data, 4);
-  EXPECT_EQ(all.rows(), 100u);
-  EXPECT_EQ(all.cols(), 4u);
+}
+
+// FNV-1a over a 240 x 63 fit's saved state (means, stds, explained ratios
+// and components), the standardized matrix, and the projections of 8 rows
+// at k = 5 and at the full k. Column 17 is constant, so its std is 0 and
+// the guarded divide skips it.
+uint64_t FitAndTransformDigest(bool standardize) {
+  common::Rng rng(28);
+  linalg::Matrix data = LatentMixture(240, 63, 9, 0.1, &rng);
+  for (size_t r = 0; r < data.rows(); ++r) data.At(r, 17) = 3.5;
+  Pca pca;
+  pca.Fit(data, standardize);
+  BitDigest digest;
+  digest.Mix(pca.SaveState());
+  digest.Mix(linalg::Standardize(data, standardize));
+  for (size_t r = 0; r < 8; ++r) {
+    digest.Mix(pca.Transform(data.Row(30 * r), 5));
+    digest.Mix(pca.Transform(data.Row(30 * r), data.cols()));
+  }
+  return digest.value();
+}
+
+// Recorded at both SIMD tiers, which agreed, while the column statistics
+// and the standardize loop still ran through linalg/simd/ kernels. Pins
+// ColumnMeans, ColumnStdDevs, Standardize, Covariance, the eigensolver and
+// Transform to the bit.
+TEST(PcaTest, FitAndTransformMatchGoldenDigest) {
+  for (const bool standardize : {true, false}) {
+    const uint64_t expected =
+        standardize ? 0xfbc08191c7929aadull : 0xd895351b6e7115c8ull;
+    EXPECT_EQ(FitAndTransformDigest(standardize), expected)
+        << "standardize " << standardize << " digest 0x" << std::hex
+        << FitAndTransformDigest(standardize);
+  }
 }
 
 TEST(PcaTest, ComponentsAreUncorrelated) {
@@ -122,7 +155,11 @@ TEST(PcaTest, ComponentsAreUncorrelated) {
   Pca pca;
   linalg::Matrix data = LatentMixture(300, 10, 4, 0.1, &rng);
   pca.Fit(data);
-  linalg::Matrix z = pca.TransformMatrix(data, 3);
+  linalg::Matrix z(data.rows(), 3);
+  for (size_t r = 0; r < data.rows(); ++r) {
+    const std::vector<double> projected = pca.Transform(data.Row(r), 3);
+    std::copy(projected.begin(), projected.end(), z.Data() + 3 * r);
+  }
   linalg::Matrix cov = linalg::Covariance(z);
   EXPECT_NEAR(cov.At(0, 1), 0.0, 1e-6);
   EXPECT_NEAR(cov.At(0, 2), 0.0, 1e-6);

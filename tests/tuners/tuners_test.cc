@@ -9,7 +9,6 @@
 #include "tuners/ottertune.h"
 #include "tuners/qtune.h"
 #include "tuners/random_tuner.h"
-#include "tuners/restune.h"
 #include "tuners/tuner.h"
 #include "workload/workloads.h"
 
@@ -68,18 +67,6 @@ TEST(RandomTunerTest, ProposalsInRangeAndVaried) {
   EXPECT_NE(a[0], b[0]);
 }
 
-TEST(LhsTunerTest, BlocksAreStratified) {
-  LhsTuner tuner(3, 10, 2);
-  const auto proposals = tuner.Propose(10);
-  for (size_t d = 0; d < 3; ++d) {
-    std::set<int> strata;
-    for (const auto& p : proposals) {
-      strata.insert(static_cast<int>(p[d] * 10));
-    }
-    EXPECT_EQ(strata.size(), 10u);
-  }
-}
-
 TEST(BestConfigTest, ShrinksTowardGoodRegion) {
   BestConfigOptions options;
   options.round_size = 30;
@@ -128,7 +115,6 @@ TEST(OtterTuneTest, ConvergesOnSyntheticObjective) {
   OtterTuneOptions options;
   options.initial_samples = 10;
   options.candidates = 200;
-  options.local_candidates = 20;
   OtterTuneTuner tuner(4, options, 6);
   double best = -1e9;
   for (int r = 0; r < 40; ++r) {
@@ -188,31 +174,6 @@ TEST(QTuneTest, ProposesValidConfigs) {
   QTuneTuner tuner(cdb::kNumMetrics, kDim, workload::Tpcc(), options, 9);
   EXPECT_EQ(tuner.name(), "QTune");
   ExpectValidProposals(&tuner, 4, kDim);
-}
-
-TEST(ResTuneTest, EmptyHistoryBehavesLikeBo) {
-  OtterTuneOptions options;
-  options.initial_samples = 4;
-  ResTuneTuner tuner(4, options, 10);
-  EXPECT_EQ(tuner.name(), "ResTune");
-  ExpectValidProposals(&tuner, 4, 4);
-  DriveSyntheticLoop(&tuner, 4, 4);
-  ExpectValidProposals(&tuner, 2, 4);
-}
-
-TEST(ResTuneTest, HistoricalModelInfluencesAcquisition) {
-  OtterTuneOptions options;
-  options.initial_samples = 2;
-  ResTuneTuner tuner(2, options, 11);
-  tuner.SetWorkloadFeatures({0.5, 0.5});
-  // Base model trained to love x = (0.2, 0.2).
-  auto base = std::make_shared<ml::GaussianProcess>();
-  linalg::Matrix x(std::vector<std::vector<double>>{
-      {0.2, 0.2}, {0.8, 0.8}, {0.5, 0.5}});
-  base->Fit(x, {1.0, -1.0, 0.0});
-  tuner.AddHistoricalModel(base, {0.5, 0.5});
-  DriveSyntheticLoop(&tuner, 2, 2);
-  ExpectValidProposals(&tuner, 2, 2);  // meta path exercised without crash
 }
 
 TEST(HarnessTest, RespectsBudgetAndRecordsCurve) {

@@ -75,6 +75,7 @@ for gate in \
     SimdSolveTest.ForwardSubstituteLanesSpecialValuesBitIdentical \
     DdpgTest.TrainingMatchesGoldenDigest MlpTest.TrainingMatchesGoldenDigest \
     StatsHelpersTest.CovarianceMatchesNaiveTripleLoop \
+    PcaTest.FitAndTransformMatchGoldenDigest \
     EigenTest.QlMatchesJacobiOnRandomSymmetricMatrices \
     RngTest.ZipfBitIdenticalToSeedFormulaAcrossCacheTransitions \
     RngTest.ZipfTableDrawsMatchPowFormula \
