@@ -211,13 +211,15 @@ BENCHMARK(BM_PcaFit63Metrics);
 // does (SearchSpaceOptimizer::Optimize): on a pool of
 // min(hardware_concurrency(), num_trees) workers, made for each fit. Both
 // are timed by the wall clock, since the workers' CPU time is not the
-// calling thread's.
+// calling thread's. rows:140 is the first refresh's pool, where per-node
+// overhead dominates; rows:2540 is the size of tpcc-20clone's last one.
 void BM_RandomForest200Trees(benchmark::State& state) {
   const bool pooled = state.range(0) != 0;
+  const auto rows = static_cast<size_t>(state.range(1));
   common::Rng rng(6);
-  linalg::Matrix x(140, 65);
-  std::vector<double> y(140);
-  for (size_t r = 0; r < 140; ++r) {
+  linalg::Matrix x(rows, 65);
+  std::vector<double> y(rows);
+  for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < 65; ++c) x.At(r, c) = rng.Uniform();
     y[r] = rng.Uniform();
   }
@@ -237,9 +239,8 @@ void BM_RandomForest200Trees(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_RandomForest200Trees)
-    ->ArgName("pooled")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"pooled", "rows"})
+    ->ArgsProduct({{0, 1}, {140, 2540}})
     ->UseRealTime();
 
 void BM_LockReplay(benchmark::State& state) {

@@ -23,6 +23,7 @@ void BufferPool::Reset(uint64_t capacity_pages, uint64_t page_space) {
   }
   head_ = kNil;
   tail_ = kNil;
+  frontier_ = kNil;
   size_ = 0;
   dirty_count_ = 0;
   hits_ = 0;
@@ -33,10 +34,12 @@ void BufferPool::Reset(uint64_t capacity_pages, uint64_t page_space) {
 // hunterlint: hot
 uint64_t BufferPool::FlushDirty(uint64_t max_pages) {
   uint64_t cleaned = 0;
-  // Clean from the cold end of the LRU, as page cleaners do. Stopping once
-  // no dirty pages remain skips a provably no-op tail walk.
-  for (uint32_t slot = tail_;
-       slot != kNil && cleaned < max_pages && dirty_count_ != 0;
+  // Clean from the cold end of the LRU, as page cleaners do, skipping the
+  // clean slots behind the frontier. Stopping once no dirty pages remain
+  // skips a provably no-op walk. The walk leaves every slot it visited
+  // clean, so the first slot it did not visit is the new frontier.
+  uint32_t slot = frontier_;
+  for (; slot != kNil && cleaned < max_pages && dirty_count_ != 0;
        slot = prev_[slot]) {
     if (dirty_[slot] != 0) {
       dirty_[slot] = 0;
@@ -44,6 +47,7 @@ uint64_t BufferPool::FlushDirty(uint64_t max_pages) {
       ++cleaned;
     }
   }
+  frontier_ = slot;
   return cleaned;
 }
 
@@ -71,7 +75,7 @@ void BufferPool::Prewarm(uint64_t n) {
   if (count == 0) return;
   // Page i in slot i, linked front to back: the recency order of inserting
   // each page behind the previous one (prewarmed pages are colder than live
-  // traffic).
+  // traffic). They are clean, so the frontier stays kNil.
   for (uint32_t slot = 0; slot < count; ++slot) {
     pages_[slot] = slot;
     slot_of_[slot] = slot;

@@ -15,6 +15,13 @@
 // tail's slot in place, so there is no free list and no eviction path. An
 // Access is allocation-free and touches a handful of array entries.
 //
+// The page cleaner does not re-walk the pages it cleaned: `frontier_` is a
+// slot such that every colder slot is clean (kNil when every slot is). A
+// page turns dirty only at the head, so the frontier moves only when its
+// own slot leaves for the head (to the warmer neighbour) or when a slot
+// reaches the head while it is kNil (to that slot), and FlushDirty starts
+// at the frontier instead of the tail.
+//
 // `Reset(capacity, page_space)` re-arms one pool for a new run: it clears
 // only the resident pages' index entries (O(resident)) and grows the slabs
 // when they are too small; they never shrink. The observable
@@ -54,6 +61,7 @@ class BufferPool {
     if (slot != kNil) {
       ++hits_;
       MoveToFront(slot);
+      if (frontier_ == kNil) frontier_ = slot;
       if (make_dirty && dirty_[slot] == 0) {
         dirty_[slot] = 1;
         ++dirty_count_;
@@ -83,6 +91,7 @@ class BufferPool {
       slot_of_[pages_[slot]] = kNil;
       MoveToFront(slot);
     }
+    if (frontier_ == kNil) frontier_ = slot;
     pages_[slot] = static_cast<uint32_t>(page_id);
     slot_of_[page_id] = slot;
     dirty_[slot] = make_dirty ? 1 : 0;
@@ -91,7 +100,8 @@ class BufferPool {
   }
 
   // Background flushing: cleans up to `max_pages` dirty pages (oldest
-  // first), returning how many were cleaned.
+  // first), returning how many were cleaned. The walk starts at the
+  // frontier, so it visits no slot an earlier walk left clean.
   uint64_t FlushDirty(uint64_t max_pages);
 
   uint64_t capacity() const { return capacity_; }
@@ -115,10 +125,13 @@ class BufferPool {
  private:
   static constexpr uint32_t kNil = 0xFFFFFFFFu;
 
-  // Splices a resident slot to the front (most-recently-used position).
+  // Splices a resident slot to the front (most-recently-used position). The
+  // frontier slot hands the frontier to its warmer neighbour: the slots
+  // colder than that neighbour are then the clean ones colder than it.
   void MoveToFront(uint32_t slot) {
     if (head_ == slot) return;
     const uint32_t p = prev_[slot];
+    if (slot == frontier_) frontier_ = p;
     const uint32_t n = next_[slot];
     next_[p] = n;  // p != kNil because slot != head_
     if (n != kNil) {
@@ -141,6 +154,7 @@ class BufferPool {
   std::vector<uint8_t> dirty_;     // per-slot dirty bit
   uint32_t head_ = kNil;
   uint32_t tail_ = kNil;
+  uint32_t frontier_ = kNil;  // every colder slot is clean; kNil: all are
   uint32_t size_ = 0;
   uint64_t dirty_count_ = 0;
   uint64_t hits_ = 0;

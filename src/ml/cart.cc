@@ -36,6 +36,17 @@ struct SplitStats {
   }
 };
 
+// Copies FitPresorted writes of every stripe row whatever its count; the
+// stripe buffer ends in as many spare entries.
+constexpr uint32_t kCopySlack = 3;
+
+// Whether a node of `count` rows at `depth` may split: the depth cap and
+// the two minimum-size leaves allow it. A node that cannot split reads no
+// feature stripe.
+bool CanSplit(size_t count, int depth, const CartOptions& options) {
+  return depth < options.max_depth && count >= 2 * options.min_samples_leaf;
+}
+
 }  // namespace
 
 void FeaturePresort::Build(const linalg::Matrix& x) {
@@ -63,7 +74,7 @@ void FeaturePresort::Build(const linalg::Matrix& x) {
 void CartTree::Workspace::Reserve(const FeaturePresort& data,
                                   size_t view_rows,
                                   const CartOptions& options) {
-  sorted.reserve(data.num_features * view_rows);
+  sorted.reserve(data.num_features * view_rows + kCopySlack);
   order.reserve(view_rows);
   tmp.reserve(view_rows);
   go_left.reserve(data.num_rows);
@@ -117,19 +128,28 @@ void CartTree::FitPresorted(const FeaturePresort& data,
 
   // Derive each feature's sorted stripe from the shared row order: count
   // every row's copies in the view, then emit the presorted rows, each as
-  // many times as it was drawn. O(n + m) per feature.
+  // many times as it was drawn. O(n + m) per feature. A bootstrap row's copy
+  // count is Poisson(1), so a loop over the copies mispredicts its exit;
+  // instead every row is written kCopySlack times and the cursor advances
+  // by its count, which overwrites the surplus. Only the ~2% of rows with
+  // more copies loop. The writes reach up to kCopySlack entries past a
+  // stripe's end: into the next stripe, which is derived later, or into
+  // the slack behind the last one.
   s.row_count.assign(n, 0);
   for (const uint32_t row : rows) ++s.row_count[row];
-  s.sorted.resize(data.num_features * m);
+  s.sorted.resize(data.num_features * m + kCopySlack);
   for (size_t f = 0; f < data.num_features; ++f) {
     uint32_t* seg = s.sorted.data() + f * m;
     const uint32_t* sorted_rows = data.sorted_rows.data() + f * n;
     size_t out = 0;
     for (size_t i = 0; i < n; ++i) {
       const uint32_t row = sorted_rows[i];
-      for (uint32_t copy = s.row_count[row]; copy > 0; --copy) {
-        seg[out++] = row;
+      const uint32_t copies = s.row_count[row];
+      for (uint32_t copy = 0; copy < kCopySlack; ++copy) seg[out + copy] = row;
+      for (uint32_t copy = kCopySlack; copy < copies; ++copy) {
+        seg[out + copy] = row;
       }
+      out += copies;
     }
   }
   s.order.assign(rows.begin(), rows.end());
@@ -155,10 +175,7 @@ int CartTree::BuildNode(const FeaturePresort& data, const double* labels,
   s.nodes[node_id].value = node_stats.Mean();
 
   const double node_sse = node_stats.SumSquaredError();
-  if (depth >= options.max_depth || count < 2 * options.min_samples_leaf ||
-      node_sse < 1e-12) {
-    return node_id;
-  }
+  if (!CanSplit(count, depth, options) || node_sse < 1e-12) return node_id;
 
   // Choose candidate features (without replacement). The list is rebuilt to
   // full width every node so Shuffle consumes the same RNG draws as the
@@ -225,7 +242,9 @@ int CartTree::BuildNode(const FeaturePresort& data, const double* labels,
   // Stable in-place partition of the insertion-order list and of every
   // feature's segment: left rows compact forward in order, right rows park
   // in tmp and are copied back behind them. Each child segment therefore
-  // stays sorted (and `order` stays in seed order). Every element is
+  // stays sorted (and `order` stays in seed order). The children's node
+  // statistics read `order`, so it is always partitioned; the feature
+  // segments only when a child may split and so scan them. Every element is
   // written to both destinations and only the matching cursor advances:
   // the side an element lands on is close to a coin flip, and a
   // data-dependent branch here mispredicts on roughly half of the
@@ -246,10 +265,13 @@ int CartTree::BuildNode(const FeaturePresort& data, const double* labels,
               seg + write);
   };
   partition_segment(s.order.data());
-  for (size_t f = 0; f < d; ++f) {
-    partition_segment(s.sorted.data() + f * m);
-  }
   const size_t split = begin + left_count;
+  if (CanSplit(left_count, depth + 1, options) ||
+      CanSplit(count - left_count, depth + 1, options)) {
+    for (size_t f = 0; f < d; ++f) {
+      partition_segment(s.sorted.data() + f * m);
+    }
+  }
 
   s.nodes[node_id].is_leaf = false;
   s.nodes[node_id].feature = best_feature;

@@ -261,5 +261,69 @@ TEST(BufferPoolEquivalenceTest, ResetReplaysLikeAFreshSeedPool) {
   }
 }
 
+// The page cleaner resumes its walk where the last one stopped: every slot
+// colder than that frontier is clean. These streams move the frontier slot
+// to the front, empty the pool's dirty set, and reuse slots across a Reset,
+// and each flush must clean exactly as many pages as the seed pool's walk
+// from the tail.
+TEST(BufferPoolEquivalenceTest, FlushFrontierMatchesSeedExactly) {
+  struct Phase {
+    double dirty_prob;
+    int steps;
+    uint64_t flush_every;
+    uint64_t flush_budget;
+  };
+  struct Scenario {
+    const char* name;
+    uint64_t capacity;
+    uint64_t page_space;
+    uint64_t prewarm;
+    Phase first;
+    Phase second;
+    bool reset_between;  // Reset both pools before the second phase
+  };
+  const Scenario scenarios[] = {
+      // Every access dirties its page and one page is cleaned per step, so
+      // the frontier trails the head by a few slots and hits move it.
+      {"write-only, budget 1 every step", 48, 256, 0, {1.0, 2000, 1, 1},
+       {1.0, 2000, 1, 1}, false},
+      // Each flush cleans every dirty page and ends past the head.
+      {"budget above the dirty count", 64, 512, 0, {0.5, 2000, 16, 1000},
+       {0.8, 2000, 5, 1000}, false},
+      // The frontier, the head and the tail are one slot.
+      {"capacity one", 1, 32, 0, {0.7, 2000, 1, 1}, {0.3, 2000, 3, 2},
+       false},
+      // A prewarmed pool read for a while leaves no dirty page; writes then
+      // start the frontier at the head.
+      {"read-only prewarmed, then writes", 128, 1024, 128, {0.0, 1500, 4, 2},
+       {0.6, 2500, 8, 3}, false},
+      // A Reset in mid-stream clears the frontier with the pool.
+      {"reset in mid-stream", 96, 512, 0, {0.9, 1500, 2, 1},
+       {0.5, 2500, 3, 2}, true},
+  };
+  for (const Scenario& s : scenarios) {
+    BufferPool pool(s.capacity, s.page_space);
+    seedref::SeedBufferPool seed(s.capacity);
+    if (s.prewarm > 0) {
+      pool.Prewarm(s.prewarm);
+      seed.Prewarm(s.prewarm);
+    }
+    common::Rng rng(29);
+    ReplayAndCompare(&pool, &seed, &rng, s.page_space, s.first.dirty_prob,
+                     s.first.steps, s.first.flush_every, s.first.flush_budget,
+                     std::string(s.name) + " first phase");
+    seedref::SeedBufferPool fresh(s.capacity);
+    seedref::SeedBufferPool* second = &seed;
+    if (s.reset_between) {
+      pool.Reset(s.capacity, s.page_space);
+      second = &fresh;
+    }
+    ReplayAndCompare(&pool, second, &rng, s.page_space, s.second.dirty_prob,
+                     s.second.steps, s.second.flush_every,
+                     s.second.flush_budget,
+                     std::string(s.name) + " second phase");
+  }
+}
+
 }  // namespace
 }  // namespace hunter::cdb

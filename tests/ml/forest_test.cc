@@ -1,12 +1,16 @@
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "ml/cart.h"
 #include "ml/random_forest.h"
+#include "tests/ml/bit_digest.h"
 #include "tests/ml/seed_ml_ref.h"
 
 namespace hunter::ml {
@@ -195,6 +199,88 @@ TEST(RandomForestTest, MatchesSeedReferenceForest) {
       EXPECT_NEAR(forest.Predict(x.Row(r)), seed_forest.Predict(x.Row(r)),
                   1e-9)
           << "row " << r << ", " << s.trees << " trees";
+    }
+  }
+}
+
+// A 600 x 65 design shaped like a search-space refresh's pool: every third
+// column continuous, every third quantized to 30 levels and every third
+// boolean, so split scans walk long runs of equal values. The label mixes
+// columns of all three kinds.
+void MakeMixedData(linalg::Matrix* x, std::vector<double>* y) {
+  common::Rng rng(0x600465);
+  *x = linalg::Matrix(600, 65);
+  y->resize(600);
+  for (size_t r = 0; r < 600; ++r) {
+    for (size_t c = 0; c < 65; ++c) {
+      double v = rng.Uniform();
+      if (c % 3 == 1) v = static_cast<double>(rng.UniformInt(0, 29)) / 29.0;
+      if (c % 3 == 2) v = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+      x->At(r, c) = v;
+    }
+    (*y)[r] = 3.0 * x->At(r, 0) - 2.0 * x->At(r, 1) * x->At(r, 3) +
+              x->At(r, 2) + 0.1 * rng.Gaussian();
+  }
+}
+
+// FNV-1a over the bits of the importances and of 32 predictions.
+uint64_t ForestDigest(const RandomForest& forest, const linalg::Matrix& x) {
+  BitDigest digest;
+  digest.Mix(forest.feature_importance());
+  for (size_t r = 0; r < 32; ++r) digest.Mix(forest.Predict(x.Row(18 * r)));
+  return digest.value();
+}
+
+// Recorded while every tree still emitted its sorted stripes one copy at a
+// time and partitioned all of them at every split. Pins the fit to the bit
+// at pool widths 1 and 4. With max_depth 2 and with min_samples_leaf 40 most
+// splits have no child that can split again, so they skip the stripe
+// partition; a 600-row bootstrap draws some row 4 or more times, so the
+// stripe derivation's many-copies path runs.
+TEST(RandomForestTest, FitMatchesGoldenDigest) {
+  constexpr uint64_t kSeed = 0x5EED29;
+  linalg::Matrix x;
+  std::vector<double> y;
+  MakeMixedData(&x, &y);
+  {
+    // The forest draws tree 0's bootstrap from the first fork of its RNG.
+    common::Rng rng(kSeed);
+    common::Rng tree_rng = rng.Fork();
+    std::vector<uint32_t> copies(x.rows(), 0);
+    uint32_t most = 0;
+    for (size_t i = 0; i < x.rows(); ++i) {
+      const auto row = static_cast<size_t>(
+          tree_rng.UniformInt(0, static_cast<int64_t>(x.rows()) - 1));
+      most = std::max(most, ++copies[row]);
+    }
+    ASSERT_GE(most, 4u);
+  }
+  struct Case {
+    int max_depth;
+    size_t min_samples_leaf;
+    uint64_t digest;
+  };
+  const CartOptions defaults;
+  const Case cases[] = {
+      {defaults.max_depth, defaults.min_samples_leaf, 0x5531783bf8517d94ull},
+      {2, defaults.min_samples_leaf, 0xc07971e61fbf230cull},
+      {defaults.max_depth, 40, 0x0a459cb3307b3dacull},
+  };
+  for (const Case& c : cases) {
+    RandomForestOptions options;
+    options.num_trees = 48;
+    options.tree.max_depth = c.max_depth;
+    options.tree.min_samples_leaf = c.min_samples_leaf;
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      common::ThreadPool pool(threads);
+      common::Rng rng(kSeed);
+      RandomForest forest;
+      forest.Fit(x, y, options, &rng, &pool);
+      const uint64_t digest = ForestDigest(forest, x);
+      EXPECT_EQ(digest, c.digest)
+          << "max_depth " << c.max_depth << " min_samples_leaf "
+          << c.min_samples_leaf << " threads " << threads << " digest 0x"
+          << std::hex << digest;
     }
   }
 }

@@ -60,6 +60,7 @@ for gate in \
     SimdGemmTest.GemmIntoBitIdentical SimdGemmTest.GemmBiasIntoBitIdentical \
     SimdGemmTest.GemmTransposedAIntoBitIdentical \
     RandomForestTest.MatchesSeedReferenceForest \
+    RandomForestTest.FitMatchesGoldenDigest \
     ForestParallelTest.ParallelFitBitIdenticalToSerial \
     ForestParallelTest.TiedColumnsParallelFitBitIdenticalToSerial \
     ForestParallelTest.SingleThreadPoolTakesSerialPath \
@@ -83,6 +84,7 @@ for gate in \
     FleetDeterminismTest.WholeRunJournalIsByteIdenticalAtEveryPoolWidth \
     BufferPoolEquivalenceTest.AdversarialStreamsMatchSeedExactly \
     BufferPoolEquivalenceTest.ResetReplaysLikeAFreshSeedPool \
+    BufferPoolEquivalenceTest.FlushFrontierMatchesSeedExactly \
     EngineFastPathTest.RandomConfigsMatchSeedBitExact; do
   for name in "$gate" "${gate}_force_scalar"; do
     grep -qxF "$name" <<<"$listed" || {
