@@ -14,6 +14,17 @@
 namespace hunter::controller {
 namespace {
 
+constexpr int kDefaultRepeats = 2;  // runs used to measure the Eq-1 baseline
+// Backoff before the n-th retry: kRetryBackoffSeconds * 2^(n-1), charged to
+// the retrying clone's lane on the sim clock.
+constexpr double kRetryBackoffSeconds = 2.0;
+// Recovery restart after a mid-run crash (restart + warm-up).
+constexpr double kCrashRecoverySeconds =
+    cdb::CdbInstance::kRestartDeploySeconds + cdb::CdbInstance::kWarmupSeconds;
+// Provisioning a replacement clone from the user instance (§2.1 copy
+// backup). Dominated by data copy, so well above a plain restart.
+constexpr double kRecloneSeconds = 180.0;
+
 // One component of a lane's cost in a stress round, staged for emission:
 // the critical lane's components are charged to the clock in order, the
 // other lanes' become uncharged detail spans stacked from the round start.
@@ -104,7 +115,7 @@ const cdb::PerformanceSummary& Controller::DefaultPerformance() {
   if (!defaults_measured_) {
     double deploy_seconds = 0.0;
     default_performance_ = actors_[0]->MeasureDefaults(
-        workload_, options_.default_repeats, &deploy_seconds);
+        workload_, kDefaultRepeats, &deploy_seconds);
     // Resetting the clone to the default configuration is real work (a
     // deploy, possibly a restart) and must hit the Table-1 accounting too.
     // Each measurement run pays execution plus metric collection — the
@@ -113,10 +124,10 @@ const cdb::PerformanceSummary& Controller::DefaultPerformance() {
     obs::Tracer& tracer = journal_.tracer();
     tracer.Charge("deploy", "baseline_reset", deploy_seconds);
     tracer.Charge("execution", "baseline_runs",
-                  options_.default_repeats * Actor::kExecutionSeconds,
-                  {{"repeats", std::to_string(options_.default_repeats)}});
+                  kDefaultRepeats * Actor::kExecutionSeconds,
+                  {{"repeats", std::to_string(kDefaultRepeats)}});
     tracer.Charge("collection", "baseline_collect",
-                  options_.default_repeats * Actor::kCollectionSeconds);
+                  kDefaultRepeats * Actor::kCollectionSeconds);
     defaults_measured_ = true;
   }
   return default_performance_;
@@ -306,7 +317,7 @@ std::vector<Sample> Controller::EvaluateBatch(
         case Actor::AttemptStatus::kCrash: {
           add("deploy", "_deploy", out.timing.deploy_seconds);
           add("execution", "_stress_crashed", out.timing.execution_seconds);
-          add("recovery", "_crash_recovery", options_.crash_recovery_seconds);
+          add("recovery", "_crash_recovery", kCrashRecoverySeconds);
           ++fault_stats_.crashes;
           crashes_counter_->Increment();
           fault_event("crash");
@@ -327,7 +338,7 @@ std::vector<Sample> Controller::EvaluateBatch(
         case Actor::AttemptStatus::kPermanentDeath: {
           add("deploy", "_deploy_aborted", out.timing.deploy_seconds);
           add("execution", "_stress_lost", out.timing.execution_seconds);
-          add("recovery", "_reclone", options_.reclone_seconds);
+          add("recovery", "_reclone", kRecloneSeconds);
           ++fault_stats_.permanent_deaths;
           permanent_deaths_counter_->Increment();
           fault_event("permanent_death");
@@ -345,7 +356,7 @@ std::vector<Sample> Controller::EvaluateBatch(
         retries_counter_->Increment();
         double backoff = 0.0;
         if (next_attempt > item.attempt) {
-          backoff = options_.retry_backoff_seconds *
+          backoff = kRetryBackoffSeconds *
                     std::pow(2.0, static_cast<double>(next_attempt - 1));
         }
         const WorkItem retry{item.index, next_attempt, backoff,

@@ -36,7 +36,6 @@ namespace hunter::controller {
 struct ControllerOptions {
   int num_clones = 1;          // the user's maximal degree of parallelization
   double alpha = 0.5;          // Equation-1 throughput/latency preference
-  int default_repeats = 2;     // runs used to measure the Eq-1 baseline
   uint64_t seed = 1;
   bool concurrent_actors = true;  // stress-test clones on real threads
   // Worker threads backing concurrent actors. 0 = one per clone, bounded by
@@ -48,19 +47,10 @@ struct ControllerOptions {
   common::FaultInjectorOptions faults;  // disabled by default
   // Re-dispatches allowed per configuration beyond the first attempt.
   int max_retries = 3;
-  // Backoff before the n-th retry: retry_backoff_seconds * 2^(n-1),
-  // charged to the retrying clone's lane on the sim clock.
-  double retry_backoff_seconds = 2.0;
   // Cancel and requeue a stress test whose execution exceeds this (0
   // disables). On the final allowed attempt the slow result is accepted
   // instead, so a persistent straggler cannot starve a configuration.
   double straggler_timeout_seconds = 0.0;
-  // Recovery restart after a mid-run crash (restart + warm-up).
-  double crash_recovery_seconds =
-      cdb::CdbInstance::kRestartDeploySeconds + cdb::CdbInstance::kWarmupSeconds;
-  // Provisioning a replacement clone from the user instance (§2.1 copy
-  // backup). Dominated by data copy, so well above a plain restart.
-  double reclone_seconds = 180.0;
 };
 
 // Counters for everything the resilience layer had to absorb.

@@ -4,6 +4,11 @@
 #include <limits>
 
 namespace hunter::core {
+namespace {
+
+constexpr double kMutationProb = 0.10;  // beta: per-gene mutation probability
+
+}  // namespace
 
 GeneticSampleFactory::GeneticSampleFactory(const cdb::KnobCatalog* catalog,
                                            const Rules* rules,
@@ -65,7 +70,7 @@ void GeneticSampleFactory::BreedGeneration() {
       child[g] = g < cut ? a.knobs[g] : b.knobs[g];
     }
     for (double& gene : child) {
-      if (rng_.Bernoulli(options_.mutation_prob)) gene = rng_.Uniform();
+      if (rng_.Bernoulli(kMutationProb)) gene = rng_.Uniform();
     }
     queue_.push_back(rules_->Apply(*catalog_, std::move(child)));
   }

@@ -22,7 +22,6 @@ namespace hunter::core {
 
 struct GaOptions {
   size_t population = 20;       // individuals per generation
-  double mutation_prob = 0.10;  // beta: per-gene mutation probability
   size_t target_samples = 140;  // total stress tests the factory performs
 };
 

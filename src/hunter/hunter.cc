@@ -3,7 +3,6 @@
 #include <string>
 
 #include "cdb/metric_catalog.h"
-#include "linalg/simd/simd.h"
 
 namespace hunter::core {
 
@@ -30,12 +29,6 @@ void HunterTuner::BindObservability(obs::Journal* journal) {
   ddpg_train_steps_counter_ =
       registry->RegisterCounter("hunter.ddpg_train_steps");
   pool_size_gauge_ = registry->RegisterGauge("hunter.pool_size");
-  // Which vector-kernel tier this process dispatches at (0 = scalar,
-  // 1 = avx2+fma; see linalg/simd/simd.h). Recorded once per bind so a run
-  // journal pins down the ISA its numbers were produced on — the kernels
-  // are bit-exact across tiers, so this explains timing, never results.
-  obs::Gauge* simd_tier_gauge = registry->RegisterGauge("linalg.simd_tier");
-  simd_tier_gauge->Set(static_cast<double>(linalg::simd::ActiveTierIndex()));
 }
 
 std::vector<std::vector<double>> HunterTuner::Propose(size_t count) {

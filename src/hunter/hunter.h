@@ -90,7 +90,8 @@ class HunterTuner : public tuners::Tuner {
   // knob, selected knobs in range), its state encoding is state_dim wide
   // (a PCA over all cdb::kNumMetrics metrics keeping 1..input_dim
   // components, or state_dim == kNumMetrics without PCA), and its
-  // ddpg_parameters fit the network its space implies.
+  // ddpg_parameters fit the network its space implies, each finite and at
+  // most 1e6 in magnitude.
   std::optional<HunterModel> ExportModel() const;
   [[nodiscard]] bool ImportModel(const HunterModel& model);
 

@@ -5,6 +5,16 @@
 #include <limits>
 
 namespace hunter::core {
+namespace {
+
+constexpr double kFesGrowthSteps = 150.0;  // e-folding of 1 - P(A_c)
+// The OU exploration noise decays linearly from kOuSigmaStart to
+// kOuSigmaEnd over the first kOuDecaySteps observed samples.
+constexpr double kOuSigmaStart = 0.25;
+constexpr double kOuSigmaEnd = 0.05;
+constexpr double kOuDecaySteps = 300.0;
+
+}  // namespace
 
 Recommender::Recommender(const cdb::KnobCatalog* catalog, const Rules* rules,
                          OptimizedSpace space,
@@ -14,7 +24,7 @@ Recommender::Recommender(const cdb::KnobCatalog* catalog, const Rules* rules,
       space_(std::move(space)),
       options_(options),
       rng_(seed),
-      noise_(space_.selected_knobs.size(), 0.15, options.ou_sigma_start),
+      noise_(space_.selected_knobs.size(), 0.15, kOuSigmaStart),
       best_fitness_(-std::numeric_limits<double>::infinity()),
       standardizer_(space_.state_dim) {
   options_.ddpg.state_dim = space_.state_dim;
@@ -73,7 +83,7 @@ double Recommender::ProbabilityCurrent(size_t t) const {
   // lim P(A_c) = 1, P(A_c)|_{t=0} = 0.3.
   const double start = options_.fes_p_current_start;
   const double p = 1.0 - (1.0 - start) * std::exp(-static_cast<double>(t) /
-                                                  options_.fes_growth_steps);
+                                                  kFesGrowthSteps);
   // A small share of A_best exploitation is kept alive indefinitely; the
   // limit of Eq. 6 is approached but the anchor-based local search never
   // fully vanishes (guards against policy drift in very long runs).
@@ -105,10 +115,9 @@ std::vector<std::vector<double>> Recommender::Propose(size_t count) {
       }
     } else {
       reduced = agent_->Act(state_);
-      const double t = std::min(
-          1.0, static_cast<double>(steps_) / options_.ou_decay_steps);
-      noise_.set_sigma(options_.ou_sigma_start +
-                       t * (options_.ou_sigma_end - options_.ou_sigma_start));
+      const double t =
+          std::min(1.0, static_cast<double>(steps_) / kOuDecaySteps);
+      noise_.set_sigma(kOuSigmaStart + t * (kOuSigmaEnd - kOuSigmaStart));
       const std::vector<double>& n = noise_.Sample(&rng_);
       for (size_t d = 0; d < action_dim; ++d) {
         reduced[d] = std::clamp(reduced[d] + n[d], 0.0, 1.0);

@@ -32,14 +32,10 @@ struct RecommenderOptions {
   bool use_fes = true;
   double fes_p_current_start = 0.3;   // P(A_c) at t = 0 (§3.3)
   double fes_p_current_cap = 0.9;     // ceiling on P(A_c) (see .cc comment)
-  double fes_growth_steps = 150.0;    // e-folding of 1 - P(A_c)
   double fes_best_noise = 0.05;       // sigma of the noise added to A_best
   // Fraction of proposals drawn uniformly at random (epsilon restarts keep
   // the recommender from locking into a local basin of the warm start).
   double random_restart_prob = 0.08;
-  double ou_sigma_start = 0.25;
-  double ou_sigma_end = 0.05;
-  double ou_decay_steps = 300.0;
   int train_steps_per_sample = 2;
   int warm_start_updates = 300;       // gradient steps on the seeded buffer
 };
@@ -77,7 +73,8 @@ class Recommender {
   size_t train_steps() const { return agent_->train_steps(); }
 
   // Model (de)serialization for the reuse schemes (§4). LoadModel returns
-  // false unless `params` fits the network this space implies.
+  // false unless `params` fits the network this space implies, with every
+  // value finite and at most 1e6 in magnitude.
   std::vector<double> SaveModel() const { return agent_->SaveParameters(); }
   [[nodiscard]] bool LoadModel(const std::vector<double>& params) {
     return agent_->LoadParameters(params);

@@ -9,6 +9,11 @@
 #include "common/thread_pool.h"
 
 namespace hunter::core {
+namespace {
+
+constexpr double kVarianceThreshold = 0.90;  // PCA CDF cut (Fig. 7: 91% at 13)
+
+}  // namespace
 
 std::vector<double> OptimizedSpace::EncodeState(
     const std::vector<double>& metrics) const {
@@ -61,8 +66,7 @@ OptimizedSpace SearchSpaceOptimizer::Optimize(
       ++r;
     }
     space.pca.Fit(metrics, /*standardize=*/true);
-    space.state_dim =
-        space.pca.ComponentsForVariance(options.variance_threshold);
+    space.state_dim = space.pca.ComponentsForVariance(kVarianceThreshold);
     space.use_pca = true;
   } else {
     space.state_dim = metric_dim;

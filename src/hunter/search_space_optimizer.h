@@ -23,7 +23,6 @@ namespace hunter::core {
 struct OptimizerOptions {
   bool use_pca = true;
   bool use_rf = true;
-  double variance_threshold = 0.90;  // PCA CDF cut (Fig. 7: 91% at 13)
   size_t top_knobs = 20;             // knobs kept after sifting (Fig. 8)
   ml::RandomForestOptions forest;    // 200 CARTs by default
 };

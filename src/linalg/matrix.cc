@@ -10,33 +10,6 @@
 
 namespace hunter::linalg {
 
-// The register-tiled panel kernels moved to linalg/simd/ (gemm_scalar.cc
-// holds the former in-file implementation verbatim; gemm_avx2.cc is the
-// hand-written AVX2 lane). These public entry points are now thin
-// runtime-dispatch shims; the contraction-order contract in matrix.h is
-// unchanged and holds at every tier.
-
-void GemmInto(const double* __restrict a, size_t m, size_t k,
-              const double* __restrict b, size_t n, bool accumulate,
-              double* __restrict out) {
-  simd::GemmInto(a, m, k, b, n, accumulate, out);
-}
-
-void GemmBiasInto(const double* __restrict a, size_t m, size_t k,
-                  const double* __restrict b, size_t n,
-                  const double* __restrict bias, double* __restrict out) {
-  simd::GemmBiasInto(a, m, k, b, n, bias, out);
-}
-
-void GemmTransposedAInto(const double* __restrict a, size_t k, size_t m,
-                         const double* __restrict b, size_t n, bool accumulate,
-                         double* __restrict out) {
-  // Contraction over the shared leading row index r of the k x m operand,
-  // ascending: batch rows add into a parameter gradient in order, as the
-  // golden training digests in tests/ml/ were recorded.
-  simd::GemmTransposedAInto(a, k, m, b, n, accumulate, out);
-}
-
 Matrix::Matrix(size_t rows, size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
@@ -82,8 +55,8 @@ Matrix Matrix::Transpose() const {
 Matrix Matrix::Multiply(const Matrix& other) const {
   assert(cols_ == other.rows_);
   Matrix result(rows_, other.cols_);
-  GemmInto(Data(), rows_, cols_, other.Data(), other.cols_,
-           /*accumulate=*/true, result.Data());
+  simd::GemmInto(Data(), rows_, cols_, other.Data(), other.cols_,
+                 /*accumulate=*/true, result.Data());
   return result;
 }
 
@@ -91,8 +64,8 @@ void Matrix::MultiplyInto(const Matrix& other, Matrix* out) const {
   assert(cols_ == other.rows_);
   assert(out != this && out != &other);
   out->Reshape(rows_, other.cols_);
-  GemmInto(Data(), rows_, cols_, other.Data(), other.cols_,
-           /*accumulate=*/false, out->Data());
+  simd::GemmInto(Data(), rows_, cols_, other.Data(), other.cols_,
+                 /*accumulate=*/false, out->Data());
 }
 
 void Matrix::TransposedMultiplyInto(const Matrix& other, Matrix* out,
@@ -101,8 +74,8 @@ void Matrix::TransposedMultiplyInto(const Matrix& other, Matrix* out,
   assert(out != this && out != &other);
   if (!accumulate) out->Reshape(cols_, other.cols_);
   assert(out->rows() == cols_ && out->cols() == other.cols_);
-  GemmTransposedAInto(Data(), rows_, cols_, other.Data(), other.cols_,
-                      accumulate, out->Data());
+  simd::GemmTransposedAInto(Data(), rows_, cols_, other.Data(),
+                            other.cols_, accumulate, out->Data());
 }
 
 std::vector<double> Matrix::MultiplyVector(const std::vector<double>& v) const {

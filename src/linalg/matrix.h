@@ -7,12 +7,10 @@
 // outputs that are reused across steps) and cache-friendly (all inner
 // loops stream contiguous rows).
 //
-// Numeric contract: every GEMM kernel accumulates each output element with
-// the k (inner/contraction) index ascending, exactly like a textbook
-// dot-product loop, and the Cholesky factor is the row-order loop's to the
-// bit. This keeps the AVX2 and scalar tiers bit-identical, a batched MLP
-// forward row equal to Mlp::Predict, and the golden training and GP digests
-// in tests/ml/ (recorded from the former per-sample paths) valid.
+// Numeric contract: the products run on the simd:: GEMM kernels, whose
+// contraction order linalg/simd/simd.h states, and the Cholesky factor is
+// the row-order loop's to the bit. This keeps the AVX2 and scalar tiers
+// bit-identical and the golden training and GP digests in tests/ml/ valid.
 
 #ifndef HUNTER_LINALG_MATRIX_H_
 #define HUNTER_LINALG_MATRIX_H_
@@ -21,29 +19,6 @@
 #include <vector>
 
 namespace hunter::linalg {
-
-// Low-level row-major GEMM kernels shared by Matrix and the ML hot paths
-// (which keep network parameters in flat arrays). `a` is (m x k), `b` is
-// (k x n), `out` is (m x n). With `accumulate` the kernel adds into the
-// existing contents of `out` (used to seed bias terms); otherwise `out` is
-// zeroed first.
-void GemmInto(const double* a, size_t m, size_t k, const double* b, size_t n,
-              bool accumulate, double* out);
-
-// out = broadcast(bias) + a * b: every output row starts from the length-n
-// `bias` row and the contraction then accumulates on top, k ascending — the
-// same order as seeding `out` with the bias and calling GemmInto in
-// accumulate mode, but without the extra write+read pass over `out`. This
-// is the layer-forward kernel: pre = bias + x * W^T.
-void GemmBiasInto(const double* a, size_t m, size_t k, const double* b,
-                  size_t n, const double* bias, double* out);
-
-// out (+)= a^T * b where `a` is (k x m) and `b` is (k x n); the contraction
-// runs over the leading (row) index of both, ascending, so batch rows add
-// into a parameter gradient in order, as the golden training digests in
-// tests/ml/ were recorded.
-void GemmTransposedAInto(const double* a, size_t k, size_t m, const double* b,
-                         size_t n, bool accumulate, double* out);
 
 // Non-allocating view of one matrix row: a (pointer, length) pair into the
 // row-major storage. `Matrix::Row` copies into a fresh std::vector on every

@@ -1,7 +1,7 @@
 // Runtime-dispatched vector kernel layer for the dense floating-point hot
 // paths, ten kernels:
-//   - the three GEMM micro-kernels behind linalg::GemmInto, GemmBiasInto and
-//     GemmTransposedAInto (MLP batches, covariance, GP Gram rows);
+//   - the three GEMMs, GemmInto, GemmBiasInto and GemmTransposedAInto (MLP
+//     batches, covariance, GP Gram rows);
 //   - AddInto (ColumnMeans' sums, the MLP's bias gradients) and the MLP's
 //     ReluInto, ReluGradMulInto and AdamUpdateInPlace;
 //   - the GP's SquaredDistInto, ForwardSubstituteLanes (batched posterior
@@ -14,8 +14,8 @@
 // Every kernel exists twice: a `*Scalar` fallback (always compiled at the
 // build's baseline ISA) and a `*Avx2` lane (compiled in dedicated TUs with
 // -mavx2 -mfma so the rest of the binary still runs on non-AVX2 hosts). The
-// un-suffixed wrappers dispatch per call on common::ActiveSimdTier(), which
-// honors HUNTER_FORCE_SCALAR=1 and the in-process testing override.
+// un-suffixed wrappers are the one entry point per kernel; they dispatch per
+// call on DispatchAvx2(), the process's one tier decision.
 //
 // The bit-exactness contract — the reason this layer can sit under code
 // whose tests EXPECT_EQ doubles — rests on three rules:
@@ -64,28 +64,21 @@
 #include <cstddef>
 #include <limits>
 
-#include "common/cpu.h"
-
 namespace hunter::linalg::simd {
 
-// True when the AVX2 TUs were compiled with real AVX2 code (x86-64 build
-// with -mavx2 -mfma available); false when they are scalar-forwarding
-// stubs. Defined in vec_avx2.cc.
-extern const bool kHasAvx2Kernels;
+// True when the un-suffixed entry points below run the AVX2 lanes: the CPU
+// has AVX2 and FMA, the *_avx2.cc TUs were compiled with real kernels (not
+// the scalar-forwarding stubs a build without -mavx2 gets), and
+// HUNTER_FORCE_SCALAR is unset, empty or "0". Decided once per process, on
+// the first call, in vec_avx2.cc next to the lanes it gates.
+// HUNTER_FORCE_SCALAR=1 is the only tier switch: the force_scalar ctest
+// twins use it to run the scalar tier on an AVX2 host.
+bool DispatchAvx2();
 
-// Should the next kernel invocation take the AVX2 lane? One global load
-// plus the cached tier query — cheap enough to evaluate per call.
-inline bool DispatchAvx2() {
-  return kHasAvx2Kernels &&
-         common::ActiveSimdTier() == common::SimdTier::kAvx2Fma;
-}
-
-// The tier this process is actually dispatching at (stubs report scalar
-// even if the CPU has AVX2), by name and as the index bench_e2e and the
-// obs metrics record.
+// The tier this process dispatches at, by name and as the index bench_e2e
+// records: "scalar" (0) or "avx2+fma" (1).
 inline const char* ActiveTierName() {
-  return common::SimdTierName(DispatchAvx2() ? common::SimdTier::kAvx2Fma
-                                             : common::SimdTier::kScalar);
+  return DispatchAvx2() ? "avx2+fma" : "scalar";
 }
 inline int ActiveTierIndex() { return DispatchAvx2() ? 1 : 0; }
 
@@ -95,9 +88,25 @@ inline double CanonicalNan(double v) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM micro-kernels. Same contracts as linalg::GemmInto/GemmBiasInto/
-// GemmTransposedAInto (which are now thin dispatchers over these): row-major
-// operands, contraction index ascending per output element.
+// GEMM kernels over row-major operands. Every output element is one
+// accumulator whose contraction index ascends, exactly like a textbook
+// dot-product loop, at both tiers: this keeps a batched MLP forward row
+// equal to Mlp::Predict and the golden training and GP digests in tests/ml/
+// (recorded from the former per-sample paths) valid.
+//
+// GemmInto: `a` is (m x k), `b` is (k x n), `out` is (m x n). With
+// `accumulate` the kernel adds into the existing contents of `out`;
+// otherwise `out` is zeroed first.
+//
+// GemmBiasInto: out = broadcast(bias) + a * b. Every output row starts from
+// the length-n `bias` row and the contraction then accumulates on top, k
+// ascending: the same order as seeding `out` with the bias and calling
+// GemmInto in accumulate mode, without the extra pass over `out`. This is
+// the layer-forward kernel, pre = bias + x * W^T.
+//
+// GemmTransposedAInto: out (+)= a^T * b, where `a` is (k x m) and `b` is
+// (k x n). The contraction runs over the leading (row) index of both,
+// ascending, so batch rows add into a parameter gradient in order.
 // ---------------------------------------------------------------------------
 
 void GemmIntoScalar(const double* a, size_t m, size_t k, const double* b,

@@ -1,7 +1,8 @@
 // AVX2 lanes for the elementwise kernels, four doubles per step with a
-// scalar tail running the exact fallback expression. Compiled with
-// -mavx2 -mfma; the #else branch provides scalar-forwarding stubs and
-// reports kHasAvx2Kernels = false.
+// scalar tail running the exact fallback expression, and the tier decision
+// (DispatchAvx2) that gates every lane in this directory. Compiled with
+// -mavx2 -mfma; the #else branch provides scalar-forwarding stubs and a
+// decision that never takes them.
 //
 // Every vector op here is an IEEE-exact lane-wise image of the scalar
 // expression: vaddpd/vsubpd/vmulpd/vdivpd/vsqrtpd are correctly rounded per
@@ -18,13 +19,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace hunter::linalg::simd {
 
-const bool kHasAvx2Kernels = true;
-
 namespace {
+
+// The decision runs before anything knows the CPU has AVX, so it is
+// compiled for the baseline ISA, like the code that calls it.
+__attribute__((target("no-avx"))) bool HostAllowsAvx2() {
+  if (__builtin_cpu_supports("avx2") == 0 ||
+      __builtin_cpu_supports("fma") == 0) {
+    return false;
+  }
+  const char* force = std::getenv("HUNTER_FORCE_SCALAR");
+  return force == nullptr || force[0] == '\0' || std::strcmp(force, "0") == 0;
+}
 
 // Rule 3 on four lanes: every NaN becomes the canonical quiet NaN.
 __m256d CanonicalNan4(__m256d v) {
@@ -34,6 +46,11 @@ __m256d CanonicalNan4(__m256d v) {
 }
 
 }  // namespace
+
+__attribute__((target("no-avx"))) bool DispatchAvx2() {
+  static const bool use_avx2 = HostAllowsAvx2();
+  return use_avx2;
+}
 
 void AddIntoAvx2(const double* x, const double* y, double* out, size_t n) {
   size_t i = 0;
@@ -266,7 +283,7 @@ size_t CholeskyLanesAvx2(const double* a, size_t n, double* l) {
 
 namespace hunter::linalg::simd {
 
-const bool kHasAvx2Kernels = false;
+bool DispatchAvx2() { return false; }
 
 void AddIntoAvx2(const double* x, const double* y, double* out, size_t n) {
   AddIntoScalar(x, y, out, n);

@@ -8,6 +8,13 @@ namespace hunter::ml {
 
 namespace {
 
+constexpr double kCriticLr = 2e-3;
+constexpr size_t kReplayCapacity = 100000;
+// Largest parameter magnitude LoadParameters accepts. A trained export's
+// largest |p| is about 2; a model whose weights are all 1e200 overflows the
+// forward pass, and its proposals turn NaN within a few rounds.
+constexpr double kMaxParameterMagnitude = 1e6;
+
 std::vector<size_t> BuildSizes(size_t in, const std::vector<size_t>& hidden,
                                size_t out) {
   std::vector<size_t> sizes;
@@ -40,7 +47,7 @@ void TanhToUnitInto(const double* x, double* out, size_t n) {
 Ddpg::Ddpg(const DdpgOptions& options, common::Rng* rng)
     : options_(options),
       rng_(rng->Fork()),
-      buffer_(options.replay_capacity) {
+      buffer_(kReplayCapacity) {
   assert(options.state_dim > 0 && options.action_dim > 0);
   assert(options.grad_clip > 0.0);
   common::Rng init_rng = rng_.Fork();
@@ -96,7 +103,7 @@ double Ddpg::TrainStep() {
     b_grad_q_.At(r, 0) = 2.0 * error;
   }
   critic_.BackwardBatch(b_grad_q_, nullptr);
-  critic_.AdamStep(options_.critic_lr, batch);
+  critic_.AdamStep(kCriticLr, batch);
 
   // ---- Actor update: ascend dQ/da through the critic. The state columns
   // of b_sa_ are still valid; only the action columns are overwritten with
@@ -146,10 +153,14 @@ std::vector<double> Ddpg::SaveParameters() const {
 }
 
 bool Ddpg::LoadParameters(const std::vector<double>& params) {
-  // Check the total first so a wrong length changes neither network.
+  // Check everything first so a rejected model changes neither network.
   const size_t actor_size = actor_.SaveParameters().size();
   if (params.size() != actor_size + critic_.SaveParameters().size()) {
     return false;
+  }
+  for (const double p : params) {
+    // Written so that NaN fails the comparison too.
+    if (!(std::abs(p) <= kMaxParameterMagnitude)) return false;
   }
   const auto split = params.begin() + static_cast<long>(actor_size);
   return actor_.LoadParameters(std::vector<double>(params.begin(), split)) &&

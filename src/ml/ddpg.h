@@ -30,9 +30,7 @@ struct DdpgOptions {
   std::vector<size_t> actor_hidden = {64, 64};
   std::vector<size_t> critic_hidden = {64, 64};
   double actor_lr = 1e-3;
-  double critic_lr = 2e-3;
   size_t batch_size = 16;
-  size_t replay_capacity = 100000;
   // Bound on each element of the actor's action gradient, |0.5 * dQ/da|;
   // must be positive.
   double grad_clip = 5.0;
@@ -67,7 +65,8 @@ class Ddpg {
   // Serializes actor+critic parameters for the model-reuse schemes (§4).
   std::vector<double> SaveParameters() const;
   // Returns false, leaving the networks untouched, unless `params` holds
-  // exactly as many values as SaveParameters() returns.
+  // exactly as many values as SaveParameters() returns, each finite and at
+  // most 1e6 in magnitude.
   [[nodiscard]] bool LoadParameters(const std::vector<double>& params);
 
  private:

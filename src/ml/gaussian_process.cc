@@ -91,8 +91,8 @@ bool GaussianProcess::Fit(const linalg::Matrix& x,
       for (size_t c = 0; c < d; ++c) fresh_t_.At(c, r) = x.At(kept + r, c);
     }
     gram_.Reshape(n, fresh);
-    linalg::GemmInto(x.Data(), n, d, fresh_t_.Data(), fresh,
-                     /*accumulate=*/false, gram_.Data());
+    linalg::simd::GemmInto(x.Data(), n, d, fresh_t_.Data(), fresh,
+                           /*accumulate=*/false, gram_.Data());
     for (size_t i = kept; i < n; ++i) row_norms_[i] = gram_.At(i, i - kept);
 
     // Each new entry K(j,i), i >= j, as a full build computes it in row j's
@@ -154,8 +154,8 @@ void GaussianProcess::PredictBatch(const linalg::Matrix& x,
   }
   cross_.Reshape(n, m);
   if (m > 0 && n > 0) {
-    linalg::GemmInto(train_x_.Data(), n, d, query_t_.Data(), m,
-                     /*accumulate=*/false, cross_.Data());
+    linalg::simd::GemmInto(train_x_.Data(), n, d, query_t_.Data(), m,
+                           /*accumulate=*/false, cross_.Data());
   }
   query_norms_.resize(m);
   for (size_t c = 0; c < m; ++c) {

@@ -3,6 +3,13 @@
 #include <cmath>
 
 namespace hunter::ml {
+namespace {
+
+// Tolerance within which an achieved performance counts as "reaching" the
+// hindsight goal (in reward units).
+constexpr double kGoalTolerance = 0.05;
+
+}  // namespace
 
 std::vector<Transition> HerAugment(const std::vector<Transition>& transitions,
                                    const HerOptions& options,
@@ -21,7 +28,7 @@ std::vector<Transition> HerAugment(const std::vector<Transition>& transitions,
       // the hindsight goal within tolerance, else a shaped penalty
       // proportional to the shortfall.
       const double shortfall = goal_reward - t.reward;
-      relabeled.reward = shortfall <= options.goal_tolerance
+      relabeled.reward = shortfall <= kGoalTolerance
                              ? 1.0
                              : -std::min(1.0, shortfall);
       augmented.push_back(std::move(relabeled));

@@ -23,9 +23,6 @@ namespace hunter::ml {
 struct HerOptions {
   // Number of relabeled copies per original transition.
   size_t relabels_per_transition = 2;
-  // Tolerance within which an achieved performance counts as "reaching" the
-  // hindsight goal (in reward units).
-  double goal_tolerance = 0.05;
 };
 
 // Returns the augmented set: originals followed by relabeled copies.

@@ -82,9 +82,9 @@ void Mlp::ForwardBatch(const linalg::Matrix& input, linalg::Matrix* output) {
     // bias and the inputs add on in ascending index order — the same
     // addition order as Predict's loop, so each row is bit-identical to it.
     layer.batch_pre.Reshape(batch, layer.out);
-    linalg::GemmBiasInto(cur->Data(), batch, layer.in, layer.weights_t.Data(),
-                         layer.out, layer.bias.data(),
-                         layer.batch_pre.Data());
+    linalg::simd::GemmBiasInto(cur->Data(), batch, layer.in,
+                               layer.weights_t.Data(), layer.out,
+                               layer.bias.data(), layer.batch_pre.Data());
     layer.batch_out.Reshape(batch, layer.out);
     const double* pre = layer.batch_pre.Data();
     double* out = layer.batch_out.Data();
@@ -151,9 +151,10 @@ void Mlp::BackwardBatch(const linalg::Matrix& grad_output,
     if (accumulate_param_grads) {
       // grad_weights += delta^T * layer_input: the contraction runs over the
       // batch rows ascending.
-      linalg::GemmTransposedAInto(delta, batch, layer.out, layer_input.Data(),
-                                  layer.in, /*accumulate=*/true,
-                                  layer.grad_weights.data());
+      linalg::simd::GemmTransposedAInto(delta, batch, layer.out,
+                                        layer_input.Data(), layer.in,
+                                        /*accumulate=*/true,
+                                        layer.grad_weights.data());
       for (size_t r = 0; r < batch; ++r) {
         linalg::simd::AddInto(layer.grad_bias.data(), delta + r * layer.out,
                               layer.grad_bias.data(), layer.out);
@@ -165,8 +166,8 @@ void Mlp::BackwardBatch(const linalg::Matrix& grad_output,
     linalg::Matrix* dst = first_layer ? grad_input : next;
     if (dst != nullptr) {
       dst->Reshape(batch, layer.in);
-      linalg::GemmInto(delta, batch, layer.out, layer.weights.data(),
-                       layer.in, /*accumulate=*/false, dst->Data());
+      linalg::simd::GemmInto(delta, batch, layer.out, layer.weights.data(),
+                             layer.in, /*accumulate=*/false, dst->Data());
     }
     if (!first_layer) {
       grad = next;

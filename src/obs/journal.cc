@@ -452,6 +452,14 @@ bool ParseMetric(const JsonValue& obj, MetricSnapshot* out,
         !GetDouble(obj, "p95", &out->p95, error)) {
       return false;
     }
+    // The writer prints a whole count. Anything else (negative, fractional,
+    // non-finite, or past 2^53, where doubles stop holding every integer)
+    // would be re-emitted as different bytes, and casting an out-of-range
+    // double to size_t is undefined.
+    if (!(count >= 0.0 && count <= 0x1p53) || count != std::floor(count)) {
+      *error = "field \"count\" is not a whole number in [0, 2^53]";
+      return false;
+    }
     out->count = static_cast<size_t>(count);
     return true;
   }

@@ -6,6 +6,11 @@
 #include "ml/latin_hypercube.h"
 
 namespace hunter::tuners {
+namespace {
+
+constexpr double kMinWidth = 0.02;  // narrowest bound before restarting
+
+}  // namespace
 
 BestConfigTuner::BestConfigTuner(size_t dim, const BestConfigOptions& options,
                                  uint64_t seed)
@@ -68,7 +73,7 @@ void BestConfigTuner::Observe(
       upper_[d] = std::clamp(round_best_knobs_[d] + half, 0.0, 1.0);
       width = std::max(width, upper_[d] - lower_[d]);
     }
-    if (width < options_.min_width) {
+    if (width < kMinWidth) {
       lower_.assign(dim_, 0.0);
       upper_.assign(dim_, 1.0);
     }

@@ -18,7 +18,6 @@ namespace hunter::tuners {
 struct BestConfigOptions {
   size_t round_size = 150;    // samples per divide-and-diverge round
   double shrink_factor = 0.85; // bound shrink per recursive round
-  double min_width = 0.02;    // narrowest bound before restarting
 };
 
 class BestConfigTuner : public Tuner {

@@ -6,6 +6,11 @@
 #include "ml/latin_hypercube.h"
 
 namespace hunter::tuners {
+namespace {
+
+constexpr size_t kMaxTrainSamples = 120;  // GP training-set cap (keep refits fast)
+
+}  // namespace
 
 OtterTuneTuner::OtterTuneTuner(size_t dim, const OtterTuneOptions& options,
                                uint64_t seed)
@@ -75,8 +80,7 @@ void OtterTuneTuner::Observe(const std::vector<controller::Sample>& samples) {
 void OtterTuneTuner::RefitGp() {
   if (observed_knobs_.empty()) return;
   // Train on the most recent window.
-  const size_t n = std::min(options_.max_train_samples,
-                            observed_knobs_.size());
+  const size_t n = std::min(kMaxTrainSamples, observed_knobs_.size());
   const size_t start = observed_knobs_.size() - n;
   linalg::Matrix x(n, dim_);
   std::vector<double> y(n);

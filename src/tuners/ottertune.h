@@ -22,7 +22,6 @@ namespace hunter::tuners {
 struct OtterTuneOptions {
   size_t initial_samples = 30;   // LHS bootstrap before the GP takes over
   size_t candidates = 200;       // random EI candidates per proposal
-  size_t max_train_samples = 120;  // GP training-set cap (keep refits fast)
   ml::GpOptions gp;
 };
 

@@ -1,6 +1,12 @@
 #include "tuners/tuner.h"
 
 namespace hunter::tuners {
+namespace {
+
+// Tolerance used to compute recommendation time from the curve.
+constexpr double kRecommendationTolerance = 0.95;
+
+}  // namespace
 
 TuningResult RunTuning(Tuner* tuner, controller::Controller* controller,
                        const HarnessOptions& options) {
@@ -50,7 +56,7 @@ TuningResult RunTuning(Tuner* tuner, controller::Controller* controller,
       result.curve.empty() ? 0.0 : result.curve.back().hours;
   for (const CurvePoint& point : result.curve) {
     if (point.best_throughput >=
-        options.recommendation_tolerance * result.best_throughput) {
+        kRecommendationTolerance * result.best_throughput) {
       result.recommendation_hours = point.hours;
       break;
     }

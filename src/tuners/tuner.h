@@ -66,8 +66,6 @@ struct HarnessOptions {
   // Stop early once best throughput exceeds this (used by Fig. 12's
   // "terminate at 98% of HUNTER's best" rule); <= 0 disables.
   double target_throughput = 0.0;
-  // Tolerance used to compute recommendation time from the curve.
-  double recommendation_tolerance = 0.95;
 };
 
 // Runs `tuner` against `controller` until the simulated budget elapses,

@@ -1,6 +1,7 @@
 #include "hunter/hunter.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -212,10 +213,19 @@ TEST_F(HunterTest, ImportModelRejectsModelsThatDoNotFit) {
       {2, 1, 0.5, 0.5, 1.0, 1.0, 0.75, 0.25, 1.0, 0.0, 0.0, 1.0}));
   HunterModel state_wider_than_pca = *model;
   state_wider_than_pca.space.state_dim = cdb::kNumMetrics + 1;
+  // Weights that fit the network but not a trained one (whose largest |p|
+  // is about 2). Imported, all-1e200 weights drive the proposals to NaN
+  // within a few rounds, and the Controller's non-finite check would then
+  // end the run.
+  HunterModel absurd_weights = *model;
+  std::fill(absurd_weights.ddpg_parameters.begin(),
+            absurd_weights.ddpg_parameters.end(), 1e200);
+  HunterModel nan_weight = *model;
+  nan_weight.ddpg_parameters.back() = std::numeric_limits<double>::quiet_NaN();
   HunterTuner student(&catalog_, Rules(), FastOptions(), 14);
   for (const HunterModel* bad :
        {&too_short, &too_long, &short_base, &knob_out_of_range, &pca_dropped,
-        &narrow_pca, &state_wider_than_pca}) {
+        &narrow_pca, &state_wider_than_pca, &absurd_weights, &nan_weight}) {
     EXPECT_FALSE(student.ImportModel(*bad));
     EXPECT_EQ(student.phase(), HunterTuner::Phase::kSampleFactory);
     EXPECT_EQ(student.recommender(), nullptr);

@@ -230,6 +230,45 @@ TEST(JournalTest, EscapesStringsInAttrs) {
   EXPECT_EQ(parsed.meta[0].value, "quote \" backslash \\ newline \n tab \t");
 }
 
+TEST(JournalTest, RejectsHistogramCountsThatAreNotWholeNumbers) {
+  common::SimClock clock;
+  MetricsRegistry registry;
+  Histogram* hist = registry.RegisterHistogram("latency");
+  for (double v : {10.0, 20.0, 30.0}) hist->Observe(v);
+  Journal journal(&clock, &registry);
+  journal.SnapshotMetrics("s");
+  const std::string text = WriteToString(journal);
+  const std::string whole = "\"count\":3,";
+  const size_t at = text.find(whole);
+  ASSERT_NE(at, std::string::npos) << text;
+
+  // Each of these would cast to a different count (or undefined
+  // behaviour) and come back out as different bytes. The metrics record
+  // is line 2.
+  for (const char* bad :
+       {"-1", "\"NaN\"", "1e300", "\"Infinity\"", "1.5"}) {
+    std::string edited = text;
+    edited.replace(at, whole.size(), std::string("\"count\":") + bad + ",");
+    std::istringstream in(edited);
+    ParsedJournal parsed;
+    std::string error;
+    EXPECT_FALSE(ParseJournal(in, &parsed, &error)) << bad;
+    EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << bad << ": " << error;
+  }
+
+  // A whole count still round-trips byte for byte.
+  std::istringstream in(text);
+  ParsedJournal parsed;
+  std::string error;
+  ASSERT_TRUE(ParseJournal(in, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.records.size(), 1u);
+  ASSERT_EQ(parsed.records[0].metrics.size(), 1u);
+  EXPECT_EQ(parsed.records[0].metrics[0].count, 3u);
+  std::ostringstream out;
+  WriteParsed(parsed, out);
+  EXPECT_EQ(out.str(), text);
+}
+
 TEST(JournalTest, FormatDouble17RoundTripsAwkwardValues) {
   // The journal renders every double with FormatDouble17; shortest-17
   // round-trip means parse(format(x)) == x for any finite x, which is what

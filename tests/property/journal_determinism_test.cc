@@ -114,7 +114,6 @@ TEST(JournalDeterminismTest, MetricVocabularyIsPinned) {
       "hunter.sso_refreshes",
       "hunter.ddpg_train_steps",
       "hunter.pool_size",
-      "linalg.simd_tier",
   };
   EXPECT_EQ(RunOnce(42).metric_names, expected);
 }

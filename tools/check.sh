@@ -11,12 +11,14 @@
 #      that every equivalence gate (an optimized path against its reference
 #      implementation or golden data) is registered with its force_scalar
 #      twin
-#   4. the whole suite again with HUNTER_FORCE_SCALAR=1, pinning the
-#      vector-kernel dispatch (linalg/simd/) to the scalar fallbacks; the
-#      `force_scalar`-labeled duplicates already ran in stage 3, so this
-#      stage covers the remaining tests (-LE force_scalar)
-#   5. a tracecat smoke: emit two same-seed run journals, require them
-#      byte-identical, and render a breakdown + a cross-seed diff
+#   4. the `perf` tests (the micro-benchmark and bench_e2e smokes) again
+#      with HUNTER_FORCE_SCALAR=1, pinning the vector-kernel dispatch
+#      (linalg/simd/) to the scalar fallbacks: they reach a kernel and have
+#      no force_scalar twin; every other test either ran its twin in stage 3
+#      or is a hunterlint or tracecat test, which links no kernel
+#   5. a tracecat smoke: emit a seed-42 run journal at the host's SIMD tier
+#      and one with HUNTER_FORCE_SCALAR=1, require them byte-identical, and
+#      render a breakdown + a cross-seed diff
 #   6. a sanitizer smoke: `ctest -L concurrency` under TSan, which includes
 #      whole tuning runs on threaded fleets of every pool width 1-4
 #      (FleetDeterminismTest) over the engines' per-thread run scratch
@@ -94,21 +96,23 @@ for gate in \
   done
 done
 
-echo "== [4/8] forced-scalar tier-1 tests (HUNTER_FORCE_SCALAR=1) =="
-# Stage 3 already ran every test's force_scalar-labeled duplicate; this run
-# pins the dispatch for the remaining tests (lint, perf, examples, and the
-# unlabeled originals) so the whole suite is proven green at the scalar tier.
-HUNTER_FORCE_SCALAR=1 ctest --test-dir build-check -LE force_scalar \
+echo "== [4/8] forced-scalar perf tests (HUNTER_FORCE_SCALAR=1) =="
+# Stage 3 ran the force_scalar twin of every test under tests/. The two perf
+# smokes reach the vector kernels too but have no twin, so they run here at
+# the scalar tier; the hunterlint and tracecat tests link no kernel.
+HUNTER_FORCE_SCALAR=1 ctest --test-dir build-check -L perf \
     --output-on-failure -j "$JOBS"
 
 echo "== [5/8] tracecat smoke =="
 SMOKE_DIR="build-check/tracecat-smoke"
 mkdir -p "$SMOKE_DIR"
 ./build-check/examples/trace_journal "$SMOKE_DIR/seed42_a.jsonl" 42
-./build-check/examples/trace_journal "$SMOKE_DIR/seed42_b.jsonl" 42
+HUNTER_FORCE_SCALAR=1 \
+  ./build-check/examples/trace_journal "$SMOKE_DIR/seed42_b.jsonl" 42
 ./build-check/examples/trace_journal "$SMOKE_DIR/seed43.jsonl" 43
 cmp "$SMOKE_DIR/seed42_a.jsonl" "$SMOKE_DIR/seed42_b.jsonl" || {
-  echo "tracecat smoke: same-seed journals differ" >&2
+  echo "tracecat smoke: the seed-42 journals differ between the host's" \
+       "SIMD tier and HUNTER_FORCE_SCALAR=1" >&2
   exit 1
 }
 ./build-check/tools/tracecat/tracecat breakdown "$SMOKE_DIR/seed42_a.jsonl"

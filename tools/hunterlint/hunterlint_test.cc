@@ -405,14 +405,15 @@ TEST(NoMatrixRowCopyTest, SuppressibleWithReason) {
 
 TEST(NoRawIntrinsicsTest, OnlyTheSimdDirectoryIsExempt) {
   // The same two lines: legal in a simd kernel, flagged (both tokens) in
-  // common/cpu.h, which hosts tier detection and no kernels.
+  // linalg/matrix.h, which sits next to the simd directory but hosts no
+  // kernels.
   const std::string text =
       "#pragma once\n"
       "inline __m256d Zero() { return _mm256_setzero_pd(); }\n";
   const std::vector<Violation> kernel =
       LintFile("src/linalg/simd/k.cc", text);
   EXPECT_TRUE(kernel.empty()) << FormatViolation(kernel.front());
-  EXPECT_EQ(RulesAndLines(LintFile("src/common/cpu.h", text)),
+  EXPECT_EQ(RulesAndLines(LintFile("src/linalg/matrix.h", text)),
             (std::vector<RuleLine>{{"no-raw-intrinsics-outside-simd", 2},
                                    {"no-raw-intrinsics-outside-simd", 2}}));
 }
